@@ -4,7 +4,9 @@ Four subcommands: ``ingest`` turns raw recordings or a synthetic generator
 spec into dataset files, ``train`` runs the two training phases and writes
 checkpoints plus metrics, ``eval`` scores a checkpoint on a dataset, and
 ``ablate`` trains a grid of mechanism-removal variants and tabulates the
-accuracy drops.
+accuracy drops. Each variant is trained like ``train`` into its own
+directory ``<out>/<variant>``, which holds the same files as a ``train``
+run.
 
 Exit codes: 0 success, 2 input problem (missing or malformed files, bad
 config keys, empty datasets), 3 state mismatch (checkpoint format, version,
@@ -22,13 +24,16 @@ from pathlib import Path
 
 from .config import (
     DISABLE_CHOICES,
+    VARIANTS,
     ConfigError,
     RunConfig,
     SyntheticSpec,
     apply_overrides,
+    apply_variant,
     config_hash,
     load_config,
     save_config,
+    with_disabled,
 )
 from .events import (
     DatasetFormatError,
@@ -40,21 +45,12 @@ from .events import (
     save_dataset,
     split_dataset,
 )
-from .harness import (
-    build_pooled_cache,
-    evaluate,
-    frames_sweep,
-    train_layer1,
-    train_layer2,
-    write_spikes_csv,
-)
+from .harness import TrainResult, evaluate, frames_sweep, train, write_spikes_csv
 from .synthetic import InvalidSpec, gen_synthetic, oracle_accuracy, validate_spec
 from .topology import (
     InvalidConfig,
     StateError,
-    build_network,
     export_kernels,
-    layer1_hash,
     load_checkpoint,
     save_checkpoint,
     state_hash,
@@ -79,18 +75,6 @@ _INPUT_ERRORS = (
     json.JSONDecodeError,
     ValueError,
 )
-
-ABLATION_VARIANTS: dict[str, dict] = {
-    "full": {},
-    "no-interval-homeostasis": {"disable": ["homeo"]},
-    "no-threshold-adaptation": {"disable": ["threshold"]},
-    "no-decision-homeostasis": {"disable": ["decision-homeo"]},
-    "no-decentralization": {"disable": ["decentralize"]},
-    "no-lateral": {"disable": ["lateral"]},
-    "shared-inhibitory-rules": {"inh_rules_shared": True},
-    "fixed-delays": {"delay_mode": "fixed"},
-    "random-frozen-delays": {"delay_mode": "random_frozen"},
-}
 
 DEFAULT_ABLATIONS = (
     "full",
@@ -142,10 +126,7 @@ def _load_data(cfg: RunConfig):
 def _with_cli_overrides(cfg: RunConfig, args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    disable = getattr(args, "disable", None)
-    if disable:
-        merged = tuple(dict.fromkeys(tuple(cfg.disabled) + tuple(disable)))
-        cfg = dataclasses.replace(cfg, disabled=merged)
+    cfg = with_disabled(cfg, *getattr(args, "disable", ()))
     if getattr(args, "set", None):
         cfg = apply_overrides(cfg, args.set)
     if getattr(args, "max_epochs", None) is not None:
@@ -221,37 +202,38 @@ def cmd_ingest(args) -> int:
 # -- train --------------------------------------------------------------------
 
 
-def _phase_failed(cfg: RunConfig, phase_result) -> bool:
-    return (
-        cfg.delay_learning_on
-        and phase_result.presentations > 0
-        and not phase_result.converged
-    )
+def _converged(cfg: RunConfig, res: TrainResult) -> bool:
+    """False when delay learning is on and a phase that ran did not freeze
+    every unit's delays: the condition for exit code 4."""
+    if not cfg.delay_learning_on:
+        return True
+    return (res.converged_l1 or res.epochs_l1 == 0) and (res.converged_l2 or res.epochs_l2 == 0)
 
 
-def cmd_train(args) -> int:
-    cfg = _with_cli_overrides(load_config(args.config), args)
-    out = Path(args.out) if args.out else Path(cfg.out_dir)
+def _train_run(cfg: RunConfig, train_samples, test_samples, out: Path) -> tuple[dict, bool]:
+    """Train ``cfg`` and write the run's files to ``out``.
+
+    The files are ``effective_config.json`` (with ``out_dir`` set to
+    ``out``), ``metrics.jsonl``, ``checkpoint_layer1.json``,
+    ``checkpoint_final.json``, the conv kernel CSVs and ``summary.json``.
+    Returns the summary and whether the delays converged.
+    """
     out.mkdir(parents=True, exist_ok=True)
-    train_samples, test_samples = _load_data(cfg)
-    if not train_samples:
-        return _fail("training set is empty", EXIT_INPUT)
-    save_config(cfg, out / "effective_config.json")
+    save_config(dataclasses.replace(cfg, out_dir=str(out)), out / "effective_config.json")
     ch = config_hash(cfg)
-
-    net = build_network(cfg, train_samples[0].frames.shape[1:])
     with open(out / "metrics.jsonl", "w") as mf:
         mf.write(json.dumps({"config_hash": ch, "n_train": len(train_samples)}, sort_keys=True) + "\n")
 
         def write_row(row: dict) -> None:
             mf.write(json.dumps(row, sort_keys=True) + "\n")
 
-        r1 = train_layer1(net, train_samples, metrics=write_row)
-        save_checkpoint(out / "checkpoint_layer1.json", net)
-        h1 = layer1_hash(net)
-        cache = build_pooled_cache(net, train_samples)
-        r2 = train_layer2(net, train_samples, pooled_cache=cache, metrics=write_row)
-    h1_final = layer1_hash(net)
+        res = train(
+            cfg,
+            train_samples,
+            metrics=write_row,
+            after_layer1=lambda net: save_checkpoint(out / "checkpoint_layer1.json", net),
+        )
+    net = res.net
     save_checkpoint(out / "checkpoint_final.json", net)
     export_kernels(net, out)
 
@@ -259,13 +241,13 @@ def cmd_train(args) -> int:
     summary = {
         "config_hash": ch,
         "seed": cfg.seed,
-        "epochs_layer1": r1.epochs,
-        "epochs_layer2": r2.epochs,
-        "converged_layer1": r1.converged,
-        "converged_layer2": r2.converged,
-        "presentations": r1.presentations + r2.presentations,
-        "gate_violations": r2.gate_violations,
-        "layer1_frozen_in_phase2": h1 == h1_final,
+        "epochs_layer1": res.epochs_l1,
+        "epochs_layer2": res.epochs_l2,
+        "converged_layer1": res.converged_l1,
+        "converged_layer2": res.converged_l2,
+        "presentations": res.presentations,
+        "gate_violations": res.gate_violations,
+        "layer1_frozen_in_phase2": res.layer1_hash_after_phase1 == res.layer1_hash_final,
         "train_accuracy": train_eval.accuracy,
         "train_abstained": int(train_eval.abstained.sum()),
         "state_hash": state_hash(net),
@@ -275,10 +257,18 @@ def cmd_train(args) -> int:
         summary["test_accuracy"] = test_eval.accuracy
         summary["test_abstained"] = int(test_eval.abstained.sum())
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return summary, _converged(cfg, res)
+
+
+def cmd_train(args) -> int:
+    cfg = _with_cli_overrides(load_config(args.config), args)
+    out = Path(args.out) if args.out else Path(cfg.out_dir)
+    train_samples, test_samples = _load_data(cfg)
+    if not train_samples:
+        return _fail("training set is empty", EXIT_INPUT)
+    summary, converged = _train_run(cfg, train_samples, test_samples, out)
     print(json.dumps(summary, indent=2, sort_keys=True))
-    if _phase_failed(cfg, r1) or _phase_failed(cfg, r2):
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
 
 # -- eval ---------------------------------------------------------------------
@@ -367,50 +357,14 @@ def cmd_eval(args) -> int:
 # -- ablate ---------------------------------------------------------------
 
 
-def variant_config(base: RunConfig, name: str) -> RunConfig:
-    mods = ABLATION_VARIANTS[name]
-    cfg = base
-    if "disable" in mods:
-        merged = tuple(dict.fromkeys(tuple(cfg.disabled) + tuple(mods["disable"])))
-        cfg = dataclasses.replace(cfg, disabled=merged)
-    plain = {k: v for k, v in mods.items() if k != "disable"}
-    if plain:
-        cfg = dataclasses.replace(cfg, **plain)
-    return cfg
-
-
-def _run_variant(cfg: RunConfig, train_samples, test_samples, out: Path) -> dict:
-    out.mkdir(parents=True, exist_ok=True)
-    net = build_network(cfg, train_samples[0].frames.shape[1:])
-    with open(out / "metrics.jsonl", "w") as mf:
-        mf.write(json.dumps({"config_hash": config_hash(cfg)}, sort_keys=True) + "\n")
-
-        def write_row(row: dict) -> None:
-            mf.write(json.dumps(row, sort_keys=True) + "\n")
-
-        r1 = train_layer1(net, train_samples, metrics=write_row)
-        cache = build_pooled_cache(net, train_samples)
-        r2 = train_layer2(net, train_samples, pooled_cache=cache, metrics=write_row)
-    save_checkpoint(out / "checkpoint_final.json", net)
-    row = {
-        "train_accuracy": evaluate(net, train_samples).accuracy,
-        "test_accuracy": evaluate(net, test_samples).accuracy,
-        "converged": bool(r1.converged and r2.converged),
-        "gate_violations": r2.gate_violations,
-        "epochs_layer1": r1.epochs,
-        "epochs_layer2": r2.epochs,
-    }
-    return row
-
-
 def cmd_ablate(args) -> int:
     base = _with_cli_overrides(load_config(args.config), args)
     names = tuple(x.strip() for x in args.variants.split(",")) if args.variants else DEFAULT_ABLATIONS
-    unknown = [n for n in names if n not in ABLATION_VARIANTS]
+    unknown = [n for n in names if n not in VARIANTS]
     if unknown:
         return _fail(
             f"unknown variant(s): {', '.join(unknown)} "
-            f"(choices: {', '.join(sorted(ABLATION_VARIANTS))})",
+            f"(choices: {', '.join(sorted(VARIANTS))})",
             EXIT_INPUT,
         )
     out = Path(args.out)
@@ -423,9 +377,17 @@ def cmd_ablate(args) -> int:
 
     rows: dict[str, dict] = {}
     for name in names:
-        cfg_v = variant_config(base, name)
         try:
-            rows[name] = _run_variant(cfg_v, train_samples, test_samples, out / name)
+            cfg = apply_variant(base, name)
+            summary, converged = _train_run(cfg, train_samples, test_samples, out / name)
+            rows[name] = {
+                "train_accuracy": summary["train_accuracy"],
+                "test_accuracy": summary["test_accuracy"],
+                "converged": converged,
+                "gate_violations": summary["gate_violations"],
+                "epochs_layer1": summary["epochs_layer1"],
+                "epochs_layer2": summary["epochs_layer2"],
+            }
         except Exception as exc:  # keep the grid going; report the failure
             rows[name] = {"error": f"{type(exc).__name__}: {exc}"}
 

@@ -22,18 +22,28 @@ class ConfigError(ValueError):
     """Bad config content: unknown keys, malformed values, invalid choices."""
 
 
-#: Mechanisms that may be listed in RunConfig.disabled.
-DISABLE_CHOICES = (
-    "homeo",
-    "threshold",
-    "decision-homeo",
-    "decentralize",
-    "lateral",
-    "delay-learning",
-)
+#: The ablation study: each variant removes one mechanism through one
+#: config edit. ``"disable"`` names the mechanism added to
+#: ``RunConfig.disabled``; every other key replaces a ``RunConfig`` field.
+#: Random frozen delays are the learned mode's initial draws with delay
+#: learning off.
+VARIANTS: dict[str, dict[str, Any]] = {
+    "full": {},
+    "no-interval-homeostasis": {"disable": "homeo"},
+    "no-threshold-adaptation": {"disable": "threshold"},
+    "no-decision-homeostasis": {"disable": "decision-homeo"},
+    "no-decentralization": {"disable": "decentralize"},
+    "no-lateral": {"disable": "lateral"},
+    "shared-inhibitory-rules": {"inh_rules_shared": True},
+    "fixed-delays": {"delay_mode": "fixed"},
+    "random-frozen-delays": {"disable": "delay-learning"},
+}
 
-#: How synaptic delays are sourced and trained.
-DELAY_MODES = ("learned", "fixed", "random_frozen")
+#: Mechanisms that may be listed in RunConfig.disabled.
+DISABLE_CHOICES = tuple(edit["disable"] for edit in VARIANTS.values() if "disable" in edit)
+
+#: How synaptic delays are sourced: drawn and trained, or one fixed value.
+DELAY_MODES = ("learned", "fixed")
 
 
 @dataclass(frozen=True)
@@ -313,6 +323,19 @@ def config_hash(cfg: RunConfig) -> str:
     """Digest of a model's identity. ``out_dir`` is not part of it, so two
     configs that differ only in their output directory hash the same."""
     return hashlib.sha256(canonical_json(model_identity(cfg)).encode()).hexdigest()
+
+
+def with_disabled(cfg: RunConfig, *mechanisms: str) -> RunConfig:
+    """``cfg`` with ``mechanisms`` appended to ``disabled``, each listed once."""
+    return dataclasses.replace(cfg, disabled=tuple(dict.fromkeys(cfg.disabled + mechanisms)))
+
+
+def apply_variant(cfg: RunConfig, name: str) -> RunConfig:
+    """``cfg`` with the config edit of the ablation variant ``name``."""
+    edit = dict(VARIANTS[name])
+    if "disable" in edit:
+        cfg = with_disabled(cfg, edit.pop("disable"))
+    return dataclasses.replace(cfg, **edit)
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -33,7 +33,7 @@ from .regulation import (
     interval_gain,
     threshold_step,
 )
-from .topology import Network, conv_forward_currents, pool_earliest
+from .topology import Network, build_network, conv_forward_currents, layer1_hash, pool_earliest
 
 
 @dataclass
@@ -73,10 +73,6 @@ class EvalResult:
     confusion: np.ndarray
     abstained: np.ndarray
     decision_totals: np.ndarray
-
-    def predicted_frequencies(self) -> np.ndarray:
-        total = self.decision_totals.sum()
-        return self.decision_totals / total if total else self.decision_totals.astype(float)
 
 
 # -- single presentation ----------------------------------------------------
@@ -126,15 +122,14 @@ def _decision_sim(net: Network, pooled_t, pooled_unit, t_input: int, gate: Decen
     f_last = -1
     cols = np.arange(n)
     for t_u, u in zip(pooled_t, pooled_unit):
-        dint = np.clip(np.rint(net.df[:, u]), 0, d_max_int).astype(np.int64)
-        rows = int(t_u) + dint
+        rows = int(t_u) + pl.delay_bins(net.df[:, u], net.cfg.plasticity)
         fcur[rows, cols] += net.wf[:, u]
         f_last = max(f_last, int(rows.max()))
 
     have_lat = net.lat_src.size > 0
     out_edges = net.lateral_out_edges() if have_lat else None
     lat_dint = (
-        np.clip(np.rint(net.lat_d), 1, d_max_int).astype(np.int64) if have_lat else None
+        pl.delay_bins(net.lat_d, net.cfg.plasticity, pl.LATERAL_DELAY_FLOOR) if have_lat else None
     )
     ring = DelayBuffer(n, net.cfg.plasticity.d_max)
     v = np.zeros(n)
@@ -259,8 +254,7 @@ def _conv_pair_deltas(net: Network, frames: np.ndarray, spikes: np.ndarray):
     hc, wc = net.conv_hw
     t_in = frames.shape[0]
     t_tot = spikes.shape[0]
-    d_max_int = int(round(par.d_max))
-    dint = np.clip(np.rint(net.conv_d), 0, d_max_int).astype(np.int64)
+    dint = pl.delay_bins(net.conv_d, par)
     n_pos = hc * wc
     dw = np.zeros_like(net.conv_w)
     dd = np.zeros_like(net.conv_d)
@@ -313,7 +307,6 @@ def _decision_pair_deltas(net: Network, pooled_t, pooled_unit, dec_t, dec_j):
     weight domain as well.
     """
     par = net.cfg.plasticity
-    d_max_int = int(round(par.d_max))
     dwf = np.zeros_like(net.wf)
     ddf = np.zeros_like(net.df)
     dlw = np.zeros_like(net.lat_w)
@@ -328,7 +321,7 @@ def _decision_pair_deltas(net: Network, pooled_t, pooled_unit, dec_t, dec_j):
         pooled_tf = pooled_t.astype(float)
         for j, pt in posts.items():
             row_d = net.df[j, pooled_unit]
-            arr = pooled_t + np.clip(np.rint(row_d), 0, d_max_int).astype(np.int64)
+            arr = pooled_t + pl.delay_bins(row_d, par)
             for t_post in pt:
                 m = arr <= t_post
                 if m.any():
@@ -346,7 +339,7 @@ def _decision_pair_deltas(net: Network, pooled_t, pooled_unit, dec_t, dec_j):
 
     if net.lat_src.size:
         inh_e = _inh_rule_edges(net)
-        lat_dint = np.clip(np.rint(net.lat_d), 1, d_max_int).astype(np.int64)
+        lat_dint = pl.delay_bins(net.lat_d, par, pl.LATERAL_DELAY_FLOOR)
         for e in range(net.lat_src.size):
             s = int(net.lat_src[e])
             j = int(net.lat_tgt[e])
@@ -379,41 +372,51 @@ def _inh_rule_edges(net: Network) -> np.ndarray:
     return net.is_inh[net.lat_src]
 
 
-def _clamp_lateral_weights(net: Network, touched: np.ndarray) -> None:
-    """Clip the touched lateral weights to the sign domain of their rules."""
+def _step_forward(w, d, frozen, rows, dw, dd, par, delay_on: bool) -> None:
+    """Add ``dw`` and ``dd`` to the ``rows`` of one forward block, in domain.
+
+    A forward block is the conv kernels (a row per map) or the decision
+    layer's afferent weights and delays (a row per neuron). ``dw`` and ``dd``
+    hold a change for every row, shaped like the block or broadcasting to
+    it. Weights stay in [0, w_max]. Delays move only with delay learning on
+    and only in rows that are not frozen, and stay in [0, d_max].
+    """
+    w[rows] = pl.clamp_excitatory_weights(w[rows] + dw[rows], par)
+    if delay_on:
+        live = rows & ~frozen
+        d[live] = pl.clamp_delays(d[live] + dd[live], par)
+
+
+def _step_lateral(net: Network, edges, dw, dd, delay_on: bool) -> None:
+    """Add ``dw`` and ``dd`` to the lateral ``edges``, in domain.
+
+    Weights stay in the domain of their rules: [w_inh_min, 0] for the edges
+    of :func:`_inh_rule_edges`, [0, w_max] for the rest. Delays move only
+    with delay learning on and only on edges into neurons that are not
+    frozen, and stay in [1, d_max].
+    """
     par = net.cfg.plasticity
+    net.lat_w[edges] += dw[edges]
     inh_e = _inh_rule_edges(net)
-    exc = touched & ~inh_e
-    inh = touched & inh_e
-    net.lat_w[exc] = np.clip(net.lat_w[exc], 0.0, par.w_max)
-    net.lat_w[inh] = np.clip(net.lat_w[inh], par.w_inh_min, 0.0)
+    exc = edges & ~inh_e
+    inh = edges & inh_e
+    net.lat_w[exc] = pl.clamp_excitatory_weights(net.lat_w[exc], par)
+    net.lat_w[inh] = pl.clamp_inhibitory_weights(net.lat_w[inh], par)
+    if delay_on:
+        live = edges & ~net.frozen[net.lat_tgt]
+        net.lat_d[live] = pl.clamp_delays(net.lat_d[live] + dd[live], par, pl.LATERAL_DELAY_FLOOR)
 
 
 def _apply_decision_plasticity(net: Network, r: float, deltas, delay_on: bool) -> None:
-    """Apply the unit-reward pair sums of one presentation, scaled by ``r``.
-
-    Forward weights stay in [0, w_max]. Lateral weights stay in the domain
-    of their rules: [w_inh_min, 0] for inhibitory-source edges, [0, w_max]
-    for the rest, and [0, w_max] for every edge with ``inh_rules_shared``.
-    Delays move only when delay learning is on and the target is not frozen.
-    """
+    """Apply the unit-reward pair sums of one presentation, scaled by ``r``,
+    to every decision-layer synapse (see :func:`_step_forward` and
+    :func:`_step_lateral` for the domains)."""
     if r == 0.0:
         return
-    par = net.cfg.plasticity
     dwf, ddf, dlw, dld = deltas
-    net.wf += r * dwf
-    pl.clamp_excitatory_weights(net.wf, par)
-    if net.lat_src.size:
-        net.lat_w += r * dlw
-        _clamp_lateral_weights(net, np.ones(net.lat_src.size, dtype=bool))
-    if delay_on:
-        live = ~net.frozen
-        net.df[live] += r * ddf[live]
-        net.df[live] = np.clip(net.df[live], 0.0, par.d_max)
-        if net.lat_src.size:
-            lm = live[net.lat_tgt]
-            net.lat_d[lm] += r * dld[lm]
-            net.lat_d[lm] = np.clip(net.lat_d[lm], 1.0, par.d_max)
+    every = np.ones(net.n_dec, dtype=bool)
+    _step_forward(net.wf, net.df, net.frozen, every, r * dwf, r * ddf, net.cfg.plasticity, delay_on)
+    _step_lateral(net, np.ones(net.lat_src.size, dtype=bool), r * dlw, r * dld, delay_on)
 
 
 def _apply_neuron_gain(net: Network, gain: np.ndarray, delay_on: bool) -> None:
@@ -421,28 +424,14 @@ def _apply_neuron_gain(net: Network, gain: np.ndarray, delay_on: bool) -> None:
     positive gain, the reverse for negative. Used by both interval and
     decision homeostasis; rows with zero gain are never written."""
     reg = net.cfg.regulation
-    par = net.cfg.plasticity
-    rows = np.nonzero(gain != 0.0)[0]
-    if rows.size == 0:
+    rows = gain != 0.0
+    if not rows.any():
         return
-    net.wf[rows] += reg.lambda_w * gain[rows, None]
-    net.wf[rows] = np.clip(net.wf[rows], 0.0, par.w_max)
-    if delay_on:
-        live = rows[~net.frozen[rows]]
-        if live.size:
-            net.df[live] -= reg.lambda_d * gain[live, None]
-            net.df[live] = np.clip(net.df[live], 0.0, par.d_max)
-    if net.lat_src.size:
-        eg = gain[net.lat_tgt]
-        em = eg != 0.0
-        if em.any():
-            net.lat_w[em] += reg.lambda_w * eg[em]
-            _clamp_lateral_weights(net, em)
-            if delay_on:
-                dm = em & ~net.frozen[net.lat_tgt]
-                if dm.any():
-                    net.lat_d[dm] -= reg.lambda_d * eg[dm]
-                    net.lat_d[dm] = np.clip(net.lat_d[dm], 1.0, par.d_max)
+    g = gain[:, None]
+    par = net.cfg.plasticity
+    _step_forward(net.wf, net.df, net.frozen, rows, reg.lambda_w * g, -reg.lambda_d * g, par, delay_on)
+    eg = gain[net.lat_tgt]
+    _step_lateral(net, eg != 0.0, reg.lambda_w * eg, -reg.lambda_d * eg, delay_on)
 
 
 # -- training phases ---------------------------------------------------------
@@ -459,6 +448,7 @@ def train_layer1(net: Network, samples: list[FrameSequence], metrics=None) -> Ph
     tracker.ema = net.conv_freeze_ema
     tracker.n_obs = net.conv_freeze_n
     tracker.frozen = net.conv_frozen
+    every = np.ones(net.n_maps, dtype=bool)
     converged = False
     presentations = 0
     epochs = 0
@@ -471,24 +461,15 @@ def train_layer1(net: Network, samples: list[FrameSequence], metrics=None) -> Ph
             d_before = net.conv_d.copy()
             if spikes.any():
                 dw_k, dd_k = _conv_pair_deltas(net, frames, spikes)
-                net.conv_w += dw_k
-                pl.clamp_excitatory_weights(net.conv_w, par)
-                if delay_on:
-                    live = ~net.conv_frozen
-                    net.conv_d[live] += dd_k[live]
-                    net.conv_d[live] = np.clip(net.conv_d[live], 0.0, par.d_max)
+                _step_forward(net.conv_w, net.conv_d, net.conv_frozen, every, dw_k, dd_k, par, delay_on)
             counts = spikes.sum(axis=0)
             ema_update(net.conv_act, counts, reg.activity_window)
             k_map = interval_gain(net.conv_act, reg).mean(axis=(1, 2))
-            km = k_map != 0.0
-            if km.any():
-                net.conv_w[km] += reg.lambda_w * k_map[km][:, None, None, None]
-                net.conv_w[km] = np.clip(net.conv_w[km], 0.0, par.w_max)
-                if delay_on:
-                    kd = km & ~net.conv_frozen
-                    if kd.any():
-                        net.conv_d[kd] -= reg.lambda_d * k_map[kd][:, None, None, None]
-                        net.conv_d[kd] = np.clip(net.conv_d[kd], 0.0, par.d_max)
+            k = k_map[:, None, None, None]
+            _step_forward(
+                net.conv_w, net.conv_d, net.conv_frozen, k_map != 0.0,
+                reg.lambda_w * k, -reg.lambda_d * k, par, delay_on,
+            )
             if delay_on:
                 tracker.update(np.abs(net.conv_d - d_before).mean(axis=(1, 2, 3)))
             presentations += 1
@@ -521,8 +502,9 @@ def build_pooled_cache(net: Network, samples: list[FrameSequence]):
     return cache
 
 
-def train_layer2(net: Network, samples: list[FrameSequence], pooled_cache=None, metrics=None) -> PhaseResult:
-    """Reinforcement training of the decision layer.
+def train_layer2(net: Network, samples: list[FrameSequence], pooled_cache, metrics=None) -> PhaseResult:
+    """Reinforcement training of the decision layer on the pooled responses
+    of :func:`build_pooled_cache`.
 
     Per presentation: run, vote, reward, apply the accumulated pair rules,
     then regulation in a fixed order (decision homeostasis, interval
@@ -537,8 +519,6 @@ def train_layer2(net: Network, samples: list[FrameSequence], pooled_cache=None, 
     hp = cfg.harness
     delay_on = cfg.delay_learning_on
     gate_enabled = not cfg.is_disabled("decentralize")
-    if pooled_cache is None:
-        pooled_cache = build_pooled_cache(net, samples)
     tracker = FreezeTracker(net.n_dec, hp.freeze_scale * par.d_max, hp.freeze_window)
     tracker.ema = net.freeze_ema
     tracker.n_obs = net.freeze_n
@@ -622,14 +602,21 @@ def train_layer2(net: Network, samples: list[FrameSequence], pooled_cache=None, 
     return PhaseResult(converged, epochs, presentations, violations)
 
 
-def train(cfg: RunConfig, samples: list[FrameSequence], metrics=None) -> TrainResult:
-    from .topology import build_network, layer1_hash
+def train(cfg: RunConfig, samples: list[FrameSequence], metrics=None, after_layer1=None) -> TrainResult:
+    """Build the network of ``cfg`` and train both phases on ``samples``.
 
+    ``metrics``, if given, is called with one row per presentation of
+    either phase. ``after_layer1``, if given, is called once with the
+    network between the phases: layer 1 is trained and phase 2 has not
+    started.
+    """
     if not samples:
         raise ValueError("empty training set")
     shape = samples[0].frames.shape[1:]
     net = build_network(cfg, shape)
     r1 = train_layer1(net, samples, metrics=metrics)
+    if after_layer1 is not None:
+        after_layer1(net)
     h1 = layer1_hash(net)
     cache = build_pooled_cache(net, samples)
     r2 = train_layer2(net, samples, pooled_cache=cache, metrics=metrics)

@@ -52,7 +52,13 @@ __all__ = [
     "clamp_excitatory_weights",
     "clamp_inhibitory_weights",
     "clamp_delays",
+    "delay_bins",
+    "LATERAL_DELAY_FLOOR",
 ]
+
+#: Lateral delays stay at or above one bin: the decision layer has already
+#: read the current bin when one of its spikes schedules lateral deliveries.
+LATERAL_DELAY_FLOOR = 1.0
 
 
 def _ret(x):
@@ -188,26 +194,8 @@ def clamp_delays(d, p: PlasticityParams, floor: float = 0.0):
     return d
 
 
-class UpdateAccumulator:
-    """Per-presentation sums of weight and delay deltas, by synapse block.
+def delay_bins(d, p: PlasticityParams, floor: float = 0.0) -> np.ndarray:
+    """Delivery delays in whole bins: each delay rounded to the nearest bin
+    and kept in [floor, round(d_max)]."""
+    return np.clip(np.rint(d), floor, int(round(p.d_max))).astype(np.int64)
 
-    The decision-layer rules are linear in the reward, so pair kernels are
-    accrued at r = 1 and the caller multiplies the block sums by the actual
-    reward when applying them at the end of the presentation.
-    """
-
-    def __init__(self, shapes: dict[str, tuple[int, ...]]):
-        self.dw = {name: np.zeros(shape) for name, shape in shapes.items()}
-        self.dd = {name: np.zeros(shape) for name, shape in shapes.items()}
-
-    def clear(self) -> None:
-        for block in self.dw.values():
-            block.fill(0.0)
-        for block in self.dd.values():
-            block.fill(0.0)
-
-    def add(self, name: str, idx, dw=None, dd=None) -> None:
-        if dw is not None:
-            np.add.at(self.dw[name], idx, dw)
-        if dd is not None:
-            np.add.at(self.dd[name], idx, dd)

@@ -7,8 +7,6 @@ and the end-to-end tests. Change them in one place or not at all.
 
 from __future__ import annotations
 
-import dataclasses
-
 from .config import (
     HarnessParams,
     LIFParams,
@@ -108,13 +106,3 @@ def skewed_counts(n_classes: int, majority: int, minority: int) -> list[int]:
     """
     return [majority] + [minority] * (n_classes - 1)
 
-
-def disable_variant(cfg: RunConfig, name: str) -> RunConfig:
-    """Return ``cfg`` with one mechanism added to its ``disabled`` tuple.
-
-    Same vocabulary as the CLI ``--disable`` flag, so scripted ablations
-    and command-line ones produce equivalent configs.
-    """
-    if name in cfg.disabled:
-        return cfg
-    return dataclasses.replace(cfg, disabled=(*cfg.disabled, name))

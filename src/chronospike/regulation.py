@@ -185,8 +185,3 @@ class FreezeTracker:
     @property
     def all_frozen(self) -> bool:
         return bool(self.frozen.all())
-
-    def load(self, ema: np.ndarray, n_obs: np.ndarray, frozen: np.ndarray) -> None:
-        self.ema = ema.astype(float).copy()
-        self.n_obs = n_obs.astype(np.int64).copy()
-        self.frozen = frozen.astype(bool).copy()

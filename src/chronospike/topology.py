@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import plasticity as pl
 from .config import RunConfig, config_hash, model_identity
 
 CHECKPOINT_FORMAT = "chronospike-checkpoint"
@@ -131,15 +132,13 @@ class Network:
             lo, hi = top.w_lateral_init
             mag = rng.uniform(lo, hi, size=src.size)
             self.lat_w = np.where(self.is_inh[src], -mag, mag)
-            self.lat_d = rng.uniform(1.0, max(1.0, plast.d_max), size=src.size)
+            floor = pl.LATERAL_DELAY_FLOOR
+            self.lat_d = rng.uniform(floor, max(floor, plast.d_max), size=src.size)
 
         if cfg.delay_mode == "fixed":
-            v = float(cfg.fixed_delay_value)
-            self.conv_d.fill(min(max(v, 0.0), plast.d_max))
-            self.df.fill(min(max(v, 0.0), plast.d_max))
-            self.lat_d.fill(min(max(v, 1.0), plast.d_max))
-        # "random_frozen" keeps the uniform draws above and simply never
-        # updates them (the harness skips delay learning for that mode).
+            for d, floor in ((self.conv_d, 0.0), (self.df, 0.0), (self.lat_d, pl.LATERAL_DELAY_FLOOR)):
+                d.fill(float(cfg.fixed_delay_value))
+                pl.clamp_delays(d, plast, floor)
 
         self.theta = np.full(self.n_dec, top.decision_theta)
         self.act_short = np.zeros(self.n_dec)
@@ -160,20 +159,10 @@ class Network:
     def n_classes(self) -> int:
         return self.cfg.topology.n_classes
 
-    def lateral_in_edges(self) -> list[np.ndarray]:
-        """Edge indices grouped by target neuron (cached)."""
-        if not hasattr(self, "_lat_in"):
-            self._lat_in = [np.nonzero(self.lat_tgt == j)[0] for j in range(self.n_dec)]
-        return self._lat_in
-
     def lateral_out_edges(self) -> list[np.ndarray]:
         if not hasattr(self, "_lat_out"):
             self._lat_out = [np.nonzero(self.lat_src == j)[0] for j in range(self.n_dec)]
         return self._lat_out
-
-    def pool_unit_index(self, m: int, wy: int, wx: int) -> int:
-        hp, wp = self.pool_hw
-        return m * (hp * wp) + wy * wp + wx
 
 
 def build_network(cfg: RunConfig, input_shape: tuple[int, int, int]) -> Network:
@@ -194,7 +183,7 @@ def conv_forward_currents(net: Network, frames: np.ndarray) -> np.ndarray:
     hc, wc = net.conv_hw
     st = top.stride
     kh, kw = top.kernel
-    dint = np.clip(np.rint(net.conv_d), 0, d_max_int).astype(np.int64)
+    dint = pl.delay_bins(net.conv_d, net.cfg.plasticity)
     out = np.zeros((t_in + d_max_int + 1, net.n_maps, hc, wc))
     for p in range(frames.shape[1]):
         for ky in range(kh):

@@ -21,7 +21,7 @@ import pytest
 from test_events import encode_aedat, encode_polarity_packet
 
 from chronospike.cli import main
-from chronospike.config import PlasticityParams, RegulationParams, save_config
+from chronospike.config import PlasticityParams, RegulationParams, save_config, with_disabled
 from chronospike.events import decode_events
 from chronospike.harness import evaluate, frames_sweep, train
 from chronospike.plasticity import (
@@ -34,11 +34,7 @@ from chronospike.plasticity import (
     reward_stdp_weight_delta,
     unsupervised_delay_delta,
 )
-from chronospike.presets import (
-    disable_variant,
-    moving_bars_acceptance_config,
-    skewed_counts,
-)
+from chronospike.presets import moving_bars_acceptance_config, skewed_counts
 from chronospike.regulation import interval_gain, threshold_step
 from chronospike.synthetic import gen_synthetic
 from chronospike.topology import build_network, load_checkpoint, state_hash
@@ -98,7 +94,7 @@ def runs():
             out = _run(moving_bars_acceptance_config(seed))
         elif kind == "abl":
             _, name, seed = key
-            out = _run(disable_variant(moving_bars_acceptance_config(seed), name))
+            out = _run(with_disabled(moving_bars_acceptance_config(seed), name))
         elif kind == "shared":
             cfg = dataclasses.replace(moving_bars_acceptance_config(0), inh_rules_shared=True)
             out = _run(cfg)
@@ -106,7 +102,7 @@ def runs():
             _, homeo_on, seed = key
             cfg = moving_bars_acceptance_config(seed)
             if not homeo_on:
-                cfg = disable_variant(cfg, "decision-homeo")
+                cfg = with_disabled(cfg, "decision-homeo")
             out = _run(cfg, train_counts=skewed_counts(cfg.topology.n_classes, 40, 5))
         else:
             raise KeyError(key)

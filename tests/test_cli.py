@@ -11,6 +11,8 @@ from conftest import tiny_cfg
 from chronospike.cli import main
 from chronospike.config import config_hash, load_config, save_config
 from chronospike.events import load_dataset
+from chronospike.harness import train
+from chronospike.topology import save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +178,17 @@ def test_train_rerun_byte_identical(ws, tmp_path):
 def test_train_effective_config_roundtrip(ws):
     eff = load_config(ws["out1"] / "effective_config.json")
     assert config_hash(eff) == config_hash(ws["cfg"])
+    assert eff.out_dir == str(ws["out1"])
+
+
+def test_train_checkpoints_match_library_train(ws, tmp_path):
+    # the command and the library share one training path: same bytes
+    samples, _ = load_dataset(ws["train_ds"])
+    layer1 = tmp_path / "layer1.json"
+    res = train(ws["cfg"], samples, after_layer1=lambda net: save_checkpoint(layer1, net))
+    save_checkpoint(tmp_path / "final.json", res.net)
+    assert (tmp_path / "final.json").read_bytes() == (ws["out1"] / "checkpoint_final.json").read_bytes()
+    assert layer1.read_bytes() == (ws["out1"] / "checkpoint_layer1.json").read_bytes()
 
 
 def test_train_disable_and_override_land_in_effective_config(ws, tmp_path):
@@ -450,9 +463,12 @@ def test_ablate_small_grid(ws, tmp_path, capsys):
     assert "delta_test_pp" in by_name["no-lateral"]
     assert "reference_delta_test_pp" in by_name["fixed-delays"]
     assert all("error" not in r for r in rows)
+    # fixed delays have nothing to converge, so train would exit 0 for them
+    assert by_name["fixed-delays"]["converged"] is True
     assert "full" in out_text
     for name in ("full", "no-lateral", "fixed-delays"):
-        assert (tmp_path / name / "checkpoint_final.json").exists()
+        for file in ("checkpoint_final.json", "summary.json", "effective_config.json"):
+            assert (tmp_path / name / file).exists(), (name, file)
 
 
 def test_ablate_unknown_variant(ws, tmp_path):

@@ -213,7 +213,7 @@ def test_evaluate_touches_nothing():
     samples = samples_for(cfg)
     net = build_network(cfg, (2, 6, 6))
     train_layer1(net, samples)
-    train_layer2(net, samples)
+    train_layer2(net, samples, build_pooled_cache(net, samples))
     before = state_hash(net)
     rng_before = net.rng.bit_generator.state["state"]["state"]
     evaluate(net, samples)
@@ -283,7 +283,7 @@ def test_disable_delay_learning_freezes_all_delays():
     df0 = net.df.copy()
     lat_d0 = net.lat_d.copy()
     train_layer1(net, samples)
-    r2 = train_layer2(net, samples)
+    r2 = train_layer2(net, samples, build_pooled_cache(net, samples))
     np.testing.assert_array_equal(net.conv_d, conv_d0)
     np.testing.assert_array_equal(net.df, df0)
     np.testing.assert_array_equal(net.lat_d, lat_d0)
@@ -298,7 +298,7 @@ def test_disable_delay_learning_still_trains_weights():
     net = build_network(cfg, (2, 6, 6))
     wf0 = net.wf.copy()
     train_layer1(net, samples)
-    train_layer2(net, samples)
+    train_layer2(net, samples, build_pooled_cache(net, samples))
     assert (net.wf != wf0).any()
 
 
@@ -350,7 +350,7 @@ def test_abstaining_presentations_leave_decision_layer_unchanged():
     net.lat_w[:] = 0.0
     net.decision_window.extend([0] * 6)
     before = [a.copy() for a in (net.wf, net.df, net.lat_w, net.lat_d)]
-    train_layer2(net, samples)
+    train_layer2(net, samples, build_pooled_cache(net, samples))
     for name, a, b in zip(("wf", "df", "lat_w", "lat_d"), before, (net.wf, net.df, net.lat_w, net.lat_d)):
         np.testing.assert_array_equal(a, b, err_msg=name)
     assert list(net.decision_window) == [0] * 6
@@ -377,7 +377,7 @@ def test_frozen_neuron_delays_pinned_during_phase2():
     net.frozen[:] = True
     net.frozen[0] = False
     df_before = net.df.copy()
-    train_layer2(net, samples)
+    train_layer2(net, samples, build_pooled_cache(net, samples))
     np.testing.assert_array_equal(net.df[1:], df_before[1:])
 
 

@@ -284,7 +284,7 @@ def test_pair_counts_bounded(pre, post, delay):
     assert tp.size <= post_a.size + pre_a.size
 
 
-# -- clamps and accumulator -----------------------------------------------------
+# -- clamps ----------------------------------------------------------------------
 
 
 def test_clamps_respect_sign_domains():
@@ -302,12 +302,3 @@ def test_clamps_respect_sign_domains():
     pl.clamp_delays(d2, p, floor=1.0)
     assert d2.tolist() == [1.0, 4.0]
 
-
-def test_accumulator_linear_in_reward():
-    acc = pl.UpdateAccumulator({"fwd": (3, 2)})
-    acc.add("fwd", (np.array([0, 0, 2]), np.array([1, 1, 0])), dw=np.array([0.1, 0.2, -0.4]))
-    assert acc.dw["fwd"][0, 1] == pytest.approx(0.3)
-    assert acc.dw["fwd"][2, 0] == pytest.approx(-0.4)
-    assert acc.dd["fwd"].sum() == 0.0
-    acc.clear()
-    assert acc.dw["fwd"].sum() == 0.0

@@ -246,12 +246,3 @@ def test_freeze_after_settling():
         tr.update(np.array([v]))
     assert tr.frozen[0]
 
-
-def test_freeze_load_round_trip():
-    tr = FreezeTracker(3, threshold=0.01, window=4)
-    tr.update(np.array([0.0, 0.2, 0.0]))
-    other = FreezeTracker(3, threshold=0.01, window=4)
-    other.load(tr.ema, tr.n_obs, tr.frozen)
-    np.testing.assert_array_equal(other.ema, tr.ema)
-    np.testing.assert_array_equal(other.n_obs, tr.n_obs)
-    np.testing.assert_array_equal(other.frozen, tr.frozen)

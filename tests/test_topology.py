@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from chronospike.config import PlasticityParams, RunConfig, TopologyParams, config_hash
+from chronospike.config import PlasticityParams, RunConfig, TopologyParams, apply_variant, config_hash
 from chronospike.core import DelayBuffer, lif_step
 from chronospike.topology import (
     InvalidConfig,
@@ -143,11 +143,13 @@ def test_fixed_delay_mode_respects_lateral_floor():
 
 def test_random_frozen_mode_keeps_draws():
     cfg_l = small_cfg()
-    cfg_r = dataclasses.replace(small_cfg(), delay_mode="random_frozen")
+    cfg_r = apply_variant(cfg_l, "random-frozen-delays")
+    assert not cfg_r.delay_learning_on
     a = build_network(cfg_l, (2, 10, 10))
     b = build_network(cfg_r, (2, 10, 10))
     np.testing.assert_array_equal(a.conv_d, b.conv_d)
     np.testing.assert_array_equal(a.df, b.df)
+    np.testing.assert_array_equal(a.lat_d, b.lat_d)
 
 
 # -- convolution currents -------------------------------------------------------
