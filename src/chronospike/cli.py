@@ -8,10 +8,11 @@ accuracy drops. Each variant is trained like ``train`` into its own
 directory ``<out>/<variant>``, which holds the same files as a ``train``
 run.
 
-Exit codes: 0 success, 2 input problem (missing or malformed files, bad
-config keys, empty datasets), 3 state mismatch (checkpoint format, version,
-or config hash conflicts), 4 training finished without delay convergence
-(all results are still written).
+Exit codes: 0 success, 1 an ``ablate`` variant raised (the other variants
+and the table are still written), 2 input problem (missing or malformed
+files, bad config keys, empty datasets), 3 state mismatch (checkpoint
+format, version, or config hash conflicts), 4 training finished without
+delay convergence (all results are still written).
 """
 
 from __future__ import annotations
@@ -74,17 +75,6 @@ _INPUT_ERRORS = (
     IsADirectoryError,
     json.JSONDecodeError,
     ValueError,
-)
-
-DEFAULT_ABLATIONS = (
-    "full",
-    "no-interval-homeostasis",
-    "shared-inhibitory-rules",
-    "no-decision-homeostasis",
-    "no-lateral",
-    "fixed-delays",
-    "random-frozen-delays",
-    "no-decentralization",
 )
 
 # Accuracy drops (train pp, test pp) reported by the reference experiments on
@@ -359,7 +349,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     base = _with_cli_overrides(load_config(args.config), args)
-    names = tuple(x.strip() for x in args.variants.split(",")) if args.variants else DEFAULT_ABLATIONS
+    names = tuple(x.strip() for x in args.variants.split(",")) if args.variants else tuple(VARIANTS)
     unknown = [n for n in names if n not in VARIANTS]
     if unknown:
         return _fail(
@@ -504,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--out", required=True)
     a.add_argument("--seed", type=int)
     a.add_argument("--max-epochs", type=int)
-    a.add_argument("--variants", help=f"comma list (default: {','.join(DEFAULT_ABLATIONS)})")
+    a.add_argument("--variants", help=f"comma list (default: {','.join(VARIANTS)})")
     a.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE")
     a.set_defaults(func=cmd_ablate)
     return p

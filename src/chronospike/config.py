@@ -3,7 +3,8 @@
 Every tunable constant lives in one of the frozen dataclasses below. A run
 is fully described by a :class:`RunConfig`, which serializes to JSON and
 back without loss; unknown keys are rejected so that a config file cannot
-silently drift from the code. CLI flags overlay a loaded config through
+silently drift from the code, and retired ones are migrated (see
+:data:`RETIRED_FIELDS`). CLI flags overlay a loaded config through
 :func:`apply_overrides`, and :func:`config_hash` gives the digest that all
 output artifacts embed.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -45,6 +47,16 @@ DISABLE_CHOICES = tuple(edit["disable"] for edit in VARIANTS.values() if "disabl
 #: How synaptic delays are sourced: drawn and trained, or one fixed value.
 DELAY_MODES = ("learned", "fixed")
 
+#: Fields the config no longer has, as (section, name), with the one value a
+#: stored config may still hold (``None``: any, as nothing read the field).
+#: ``RunConfig.from_dict`` drops them from config files, overrides and checkpoints.
+RETIRED_FIELDS: dict[tuple[str, str], bool | None] = {
+    ("lif", "theta_init"): None,
+    ("harness", "checkpoint_every"): None,
+    ("harness", "shuffle"): True,
+    ("regulation", "gate_in_eval"): True,
+}
+
 
 @dataclass(frozen=True)
 class LIFParams:
@@ -57,7 +69,6 @@ class LIFParams:
 
     tau_m: float = 10.0
     t_ref: int = 1
-    theta_init: float = 1.0
     v_reset: float = 0.0
     theta_floor: float = 0.1
     theta_ceil: float = 10.0
@@ -131,8 +142,7 @@ class RegulationParams:
 
     ``threshold_rule_as_printed`` flips the threshold step direction to the
     variant that raises the threshold of under-active neurons, kept only for
-    comparison runs. ``gate_in_eval`` keeps the per-class activity gate on
-    during evaluation, where it acts as an inference mechanism.
+    comparison runs.
     """
 
     r_min: float = 1.0
@@ -148,7 +158,6 @@ class RegulationParams:
     long_window: int = 100
     decision_window_per_class: int = 10
     threshold_rule_as_printed: bool = False
-    gate_in_eval: bool = True
 
 
 @dataclass(frozen=True)
@@ -160,7 +169,8 @@ class HarnessParams:
     the moving average of its mean absolute per-presentation delay change
     stays below ``freeze_scale * d_max`` after at least ``freeze_window``
     observations. ``flush_factor`` bounds how many extra bins a presentation
-    may run past its input to drain in-flight deliveries.
+    may run past its input to drain in-flight deliveries. Each epoch presents
+    the samples in an order drawn from the network's RNG.
     """
 
     kappa: float = 0.05
@@ -169,9 +179,7 @@ class HarnessParams:
     max_epochs_l2: int = 30
     freeze_scale: float = 1e-3
     freeze_window: int = 50
-    checkpoint_every: int = 0
     flush_factor: int = 4
-    shuffle: bool = True
 
 
 @dataclass(frozen=True)
@@ -245,6 +253,9 @@ class RunConfig:
             raise ConfigError(
                 f"unknown delay_mode: {self.delay_mode!r} (choices: {', '.join(DELAY_MODES)})"
             )
+        v = self.fixed_delay_value
+        if not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ConfigError(f"fixed_delay_value must be a finite number, got {v!r}")
 
     def is_disabled(self, mechanism: str) -> bool:
         return mechanism in self.disabled
@@ -255,8 +266,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunConfig":
+        """The config ``data`` describes, without :data:`RETIRED_FIELDS`; ``data`` is not modified."""
         _check_keys(cls, data)
         kw = dict(data)
+        for (section, name), kept in RETIRED_FIELDS.items():
+            node = kw.get(section)
+            if isinstance(node, dict) and name in node:
+                if kept is not None and node[name] is not kept:
+                    raise ConfigError(
+                        f"{section}.{name} is retired: only {json.dumps(kept)} is supported, got {node[name]!r}"
+                    )
+                kw[section] = {k: v for k, v in node.items() if k != name}
         sections = {
             "lif": (LIFParams, ()),
             "topology": (TopologyParams, ("kernel", "pool", "w_conv_init", "w_forward_init", "w_lateral_init")),
@@ -357,8 +377,8 @@ def apply_overrides(cfg: RunConfig, assignments: list[str]) -> RunConfig:
     """Overlay ``section.key=value`` assignments onto a config.
 
     Values are parsed as JSON when possible (numbers, booleans, lists) and
-    fall back to bare strings. Paths must name existing keys; there is no
-    implicit key creation.
+    fall back to bare strings. Paths must name existing keys or retired
+    fields; there is no implicit key creation.
     """
     data = to_dict(cfg)
     for item in assignments:
@@ -375,7 +395,7 @@ def apply_overrides(cfg: RunConfig, assignments: list[str]) -> RunConfig:
             if not isinstance(node, dict) or k not in node:
                 raise ConfigError(f"unknown config path: {path_str}")
             node = node[k]
-        if not isinstance(node, dict) or keys[-1] not in node:
+        if not isinstance(node, dict) or (keys[-1] not in node and tuple(keys) not in RETIRED_FIELDS):
             raise ConfigError(f"unknown config path: {path_str}")
         node[keys[-1]] = value
     return RunConfig.from_dict(data)

@@ -87,10 +87,6 @@ class DelayBuffer:
     def empty(self) -> bool:
         return int(self.slot_events.sum()) == 0
 
-    def clear(self) -> None:
-        self.ring.fill(0.0)
-        self.slot_events.fill(0)
-
 
 @dataclass
 class SpikeRecord:

@@ -91,10 +91,6 @@ class FrameSequence:
     label: int = -1
     subject_id: int = 0
 
-    @property
-    def n_bins(self) -> int:
-        return self.frames.shape[0]
-
 
 def decode_events(data: bytes, sensor_size: tuple[int, int] = (128, 128)) -> EventStream:
     """Decode an AEDAT 3.1 byte string into an EventStream.

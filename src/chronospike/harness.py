@@ -10,8 +10,8 @@ parameter changes are accumulated over one presentation and applied at its
 end.
 
 Evaluation runs presentations with plasticity and regulation off; only the
-per-class activity gate stays active when configured, since it shapes the
-vote rather than the parameters.
+per-class activity gate stays active unless decentralization is disabled,
+since it shapes the vote rather than the parameters.
 """
 
 from __future__ import annotations
@@ -166,7 +166,6 @@ def _decision_sim(net: Network, pooled_t, pooled_unit, t_input: int, gate: Decen
 def run_presentation(
     net: Network,
     frames: np.ndarray,
-    gate_enabled: bool | None = None,
     limit_frames: int | None = None,
     pooled=None,
     collect_conv: bool = False,
@@ -175,7 +174,8 @@ def run_presentation(
 
     Membrane state and buffers live only inside this call, so the network
     object is untouched. ``pooled`` short-circuits the convolutional stage
-    with cached pooled spikes (valid whenever layer 1 is not changing).
+    with cached pooled spikes (valid whenever layer 1 is not changing). The
+    per-class activity gate is on unless decentralization is disabled.
     """
     cfg = net.cfg
     if limit_frames is not None:
@@ -186,9 +186,7 @@ def run_presentation(
     else:
         spikes = None
         pooled_t, pooled_unit = pooled
-    if gate_enabled is None:
-        gate_enabled = not cfg.is_disabled("decentralize")
-    gate = DecentralizeGate(net.class_of, cfg.regulation.dc_upper, gate_enabled)
+    gate = DecentralizeGate(net.class_of, cfg.regulation.dc_upper, not cfg.is_disabled("decentralize"))
     dec_t, dec_j, group_active = _decision_sim(net, pooled_t, pooled_unit, frames.shape[0], gate)
     record = SpikeRecord(
         pooled_t=pooled_t,
@@ -454,8 +452,7 @@ def train_layer1(net: Network, samples: list[FrameSequence], metrics=None) -> Ph
     epochs = 0
     for epoch in range(hp.max_epochs_l1):
         epochs = epoch + 1
-        order = net.rng.permutation(len(samples)) if hp.shuffle else np.arange(len(samples))
-        for idx in order:
+        for idx in net.rng.permutation(len(samples)):
             frames = samples[int(idx)].frames
             spikes, _first = _conv_sim(net, frames)
             d_before = net.conv_d.copy()
@@ -518,7 +515,6 @@ def train_layer2(net: Network, samples: list[FrameSequence], pooled_cache, metri
     par = cfg.plasticity
     hp = cfg.harness
     delay_on = cfg.delay_learning_on
-    gate_enabled = not cfg.is_disabled("decentralize")
     tracker = FreezeTracker(net.n_dec, hp.freeze_scale * par.d_max, hp.freeze_window)
     tracker.ema = net.freeze_ema
     tracker.n_obs = net.freeze_n
@@ -535,15 +531,12 @@ def train_layer2(net: Network, samples: list[FrameSequence], pooled_cache, metri
     epochs = 0
     for epoch in range(hp.max_epochs_l2):
         epochs = epoch + 1
-        order = net.rng.permutation(len(samples)) if hp.shuffle else np.arange(len(samples))
-        for idx in order:
+        for idx in net.rng.permutation(len(samples)):
             s = samples[int(idx)]
-            pres = run_presentation(
-                net, s.frames, gate_enabled=gate_enabled, pooled=pooled_cache[int(idx)]
-            )
+            pres = run_presentation(net, s.frames, pooled=pooled_cache[int(idx)])
             verdict = majority_vote(pres.counts, pres.first_class)
             r = compute_reward(pres.counts, s.label, hp.kappa, hp.reward_clip)
-            if gate_enabled and (pres.group_active > reg.dc_upper).any():
+            if (pres.group_active > reg.dc_upper).any():
                 violations += 1
             d_before_f = net.df.copy()
             d_before_l = net.lat_d.copy() if net.lat_src.size else None
@@ -644,14 +637,13 @@ def evaluate(
 ) -> EvalResult:
     """Score samples without touching any network state.
 
-    The per-class activity gate stays on when configured (it is part of
-    inference); plasticity, regulation, traces, and the RNG are all left
-    alone, so the state hash before and after is identical.
+    The per-class activity gate stays on unless decentralization is disabled
+    (it is part of inference); plasticity, regulation, traces, and the RNG
+    are all left alone, so the state hash before and after is identical.
     """
     if not samples:
         raise ValueError("empty evaluation set")
     c = net.n_classes
-    gate_enabled = net.cfg.regulation.gate_in_eval and not net.cfg.is_disabled("decentralize")
     confusion = np.zeros((c, c), dtype=np.int64)
     abstained = np.zeros(c, dtype=np.int64)
     totals = np.zeros(c, dtype=np.int64)
@@ -660,7 +652,6 @@ def evaluate(
         pres = run_presentation(
             net,
             s.frames,
-            gate_enabled=gate_enabled,
             limit_frames=limit_frames,
             collect_conv=spike_rows is not None,
         )

@@ -8,8 +8,8 @@ import pytest
 
 from conftest import tiny_cfg
 
-from chronospike.cli import main
-from chronospike.config import config_hash, load_config, save_config
+from chronospike.cli import REFERENCE_DELTAS_PP, main
+from chronospike.config import VARIANTS, config_hash, load_config, save_config, to_dict
 from chronospike.events import load_dataset
 from chronospike.harness import train
 from chronospike.topology import save_checkpoint
@@ -261,6 +261,26 @@ def test_train_rejects_unknown_config_key(tmp_path):
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "section, name, via_set",
+    [("harness", "shuffle", False), ("regulation", "gate_in_eval", False), ("harness", "shuffle", True)],
+)
+def test_train_rejects_retired_switch_turned_off(ws, tmp_path, capsys, section, name, via_set):
+    data = to_dict(ws["cfg"])
+    extra = []
+    if via_set:
+        extra = ["--set", f"{section}.{name}=false"]
+    else:
+        data[section][name] = False
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(json.dumps(data))
+    rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out"), *extra])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{section}.{name}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_missing_config_file(tmp_path):
     rc = main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 2
@@ -481,6 +501,28 @@ def test_ablate_unknown_variant(ws, tmp_path):
         ]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_ablate_rejects_non_finite_fixed_delay(ws, tmp_path, capsys, value):
+    rc = main(
+        [
+            "ablate",
+            "--config", str(ws["cfg_path"]),
+            "--out", str(tmp_path),
+            "--variants", "full,fixed-delays",
+            "--set", f"fixed_delay_value={value}",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "fixed_delay_value" in lines[0]
+
+
+def test_reference_deltas_name_variants():
+    assert set(REFERENCE_DELTAS_PP) <= set(VARIANTS)
 
 
 def test_ablate_needs_test_data(ws, tmp_path):

@@ -1,0 +1,91 @@
+"""Config loading: retired fields, value checks, and fields the package reads."""
+
+import dataclasses
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from conftest import tiny_cfg
+
+from chronospike.config import (
+    ConfigError,
+    RunConfig,
+    apply_overrides,
+    config_hash,
+    load_config,
+    to_dict,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "chronospike"
+
+#: The retired fields at the values every config held while they existed.
+OLD_DEFAULTS = {
+    "lif": {"theta_init": 1.0},
+    "harness": {"checkpoint_every": 0, "shuffle": True},
+    "regulation": {"gate_in_eval": True},
+}
+
+
+def with_old_fields(data: dict, **changes) -> dict:
+    """A JSON copy of config dict ``data`` holding the retired fields at
+    their old defaults, with ``changes`` ({"section.name": value}) on top."""
+    out = json.loads(json.dumps(data))
+    for section, fields in OLD_DEFAULTS.items():
+        out[section].update(fields)
+    for path, value in changes.items():
+        section, name = path.split(".")
+        out[section][name] = value
+    return out
+
+
+def test_retired_fields_at_old_defaults_are_dropped(tmp_path):
+    cfg = tiny_cfg()
+    data = with_old_fields(to_dict(cfg))
+    stored = json.dumps(data, sort_keys=True)
+    path = tmp_path / "old.json"
+    path.write_text(stored)
+    for loaded in (RunConfig.from_dict(data), load_config(path)):
+        assert loaded == cfg
+        assert config_hash(loaded) == config_hash(cfg)
+        fields = to_dict(loaded)
+        assert not any(name in fields[section] for section, names in OLD_DEFAULTS.items() for name in names)
+    # the caller's dict is not rewritten, so a stored hash can still digest it
+    assert json.dumps(data, sort_keys=True) == stored
+
+
+@pytest.mark.parametrize("field", ["harness.shuffle", "regulation.gate_in_eval"])
+def test_retired_switch_off_is_rejected(field):
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        RunConfig.from_dict(with_old_fields(to_dict(tiny_cfg()), **{field: False}))
+
+
+def test_overrides_reach_the_migration():
+    cfg = tiny_cfg()
+    assert apply_overrides(cfg, ["harness.shuffle=true", "lif.theta_init=3.5"]) == cfg
+    with pytest.raises(ConfigError, match="harness.shuffle"):
+        apply_overrides(cfg, ["harness.shuffle=false"])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "1.0"])
+def test_fixed_delay_value_must_be_a_finite_number(value):
+    with pytest.raises(ConfigError, match="fixed_delay_value"):
+        dataclasses.replace(tiny_cfg(), fixed_delay_value=value)
+
+
+def _leaf_fields(cls, prefix=""):
+    """(dotted path, name) of every settable leaf field under ``cls``."""
+    for f in dataclasses.fields(cls):
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        if dataclasses.is_dataclass(default):
+            yield from _leaf_fields(type(default), f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, f.name
+
+
+def test_every_config_field_is_read_by_the_package():
+    """A field nothing reads is a knob that changes nothing but the hash."""
+    text = "\n".join(p.read_text() for p in sorted(SRC.glob("*.py")))
+    unread = [path for path, name in _leaf_fields(RunConfig) if not re.search(rf"\.{name}\b", text)]
+    assert unread == []

@@ -19,6 +19,7 @@ from chronospike.topology import (
     inhibitory_flags,
     layer1_hash,
     load_checkpoint,
+    network_payload,
     pool_earliest,
     pool_output_shape,
     save_checkpoint,
@@ -286,6 +287,26 @@ def test_out_dir_is_not_part_of_model_identity(tmp_path):
     assert config_hash(nets[0].cfg) == config_hash(nets[1].cfg)
     assert state_hash(nets[0]) == state_hash(nets[1])
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_checkpoint_with_retired_fields_loads(tmp_path):
+    net = build_network(small_cfg(), (2, 10, 10))
+    _mutate_traces(net)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, net)
+    assert "checkpoint_every" not in path.read_text()
+    payload = json.loads(path.read_text())
+    payload["config"]["lif"]["theta_init"] = 1.0
+    payload["config"]["harness"].update(checkpoint_every=0, shuffle=True)
+    payload["config"]["regulation"]["gate_in_eval"] = True
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    loaded = load_checkpoint(old)
+    before, after = network_payload(net), network_payload(loaded)
+    for key in ("arrays", "rng", "decision_window", "phase", "input_shape"):
+        assert after[key] == before[key], key
+    save_checkpoint(tmp_path / "resaved.json", loaded)
+    assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_rng_state_survives(tmp_path):
