@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import tiny_cfg
+from test_plasticity import ref_exc_delay, ref_inh_delay, ref_pairs, ref_weight
 
 from chronospike import gen_synthetic
 from chronospike.harness import (
     _apply_decision_plasticity,
     _apply_neuron_gain,
+    _conv_pair_deltas,
     _decision_pair_deltas,
     _decision_sim,
     build_pooled_cache,
@@ -23,6 +25,7 @@ from chronospike.harness import (
     train_layer1,
     train_layer2,
 )
+from chronospike.plasticity import LATERAL_DELAY_FLOOR, delay_bins
 from chronospike.regulation import DecentralizeGate
 from chronospike.topology import build_network, layer1_hash, state_hash
 
@@ -367,6 +370,110 @@ def test_pair_deltas_empty_without_decision_spikes():
         np.empty(0, np.int64),
     )
     assert dwf.sum() == 0 and ddf.sum() == 0 and dlw.sum() == 0 and dld.sum() == 0
+
+
+# -- pair-delta oracles ------------------------------------------------------------
+#
+# Every synapse is paired on its own by the quadratic reference pairing of
+# test_plasticity, and its rule kernels are summed with plain math.exp.
+
+
+def _oracle_sums(pairs, d, delay_rule, par):
+    dw = dd = 0.0
+    for tp, tq in pairs:
+        dt = tq - tp - d
+        dw += ref_weight(dt, par)
+        dd += delay_rule(dt, par)
+    return dw, dd
+
+
+def _times(mask):
+    return np.nonzero(mask)[0].tolist()
+
+
+@pytest.mark.parametrize("stride,hw", [(1, (6, 6)), (2, (8, 7))])
+def test_conv_pair_deltas_match_per_synapse_oracle(stride, hw):
+    top = dataclasses.replace(tiny_cfg().topology, stride=stride, pool=(1, 1))
+    net = build_network(tiny_cfg(topology=top), (2,) + hw)
+    par = net.cfg.plasticity
+    rng = np.random.default_rng(stride)
+    t_in = 20
+    frames = (rng.random((t_in, 2) + hw) < 0.15).astype(np.uint8)
+    spikes = rng.random((t_in + int(round(par.d_max)) + 1, net.n_maps) + net.conv_hw) < 0.1
+    dw, dd = _conv_pair_deltas(net, frames, spikes)
+
+    hc, wc = net.conv_hw
+    dint = delay_bins(net.conv_d, par)
+    want_w = np.zeros_like(dw)
+    want_d = np.zeros_like(dd)
+    for m, p, ky, kx in np.ndindex(net.conv_w.shape):
+        for y in range(hc):
+            for x in range(wc):
+                pre = _times(frames[:, p, y * stride + ky, x * stride + kx])
+                pairs = ref_pairs(pre, _times(spikes[:, m, y, x]), int(dint[m, p, ky, kx]))
+                w, d = _oracle_sums(pairs, net.conv_d[m, p, ky, kx], ref_exc_delay, par)
+                want_w[m, p, ky, kx] += w
+                want_d[m, p, ky, kx] += d
+    assert (want_w != 0.0).sum() > want_w.size // 2
+    np.testing.assert_allclose(dw, want_w / (hc * wc), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dd, want_d / (hc * wc), rtol=0, atol=1e-12)
+
+
+def _decision_oracle(net, pooled_t, pooled_unit, dec_t, dec_j):
+    par = net.cfg.plasticity
+    posts = {j: dec_t[dec_j == j].tolist() for j in range(net.n_dec)}
+    wf = np.zeros_like(net.wf)
+    df = np.zeros_like(net.df)
+    for j in range(net.n_dec):
+        for t_u, u in zip(pooled_t.tolist(), pooled_unit.tolist()):
+            pairs = ref_pairs([t_u], posts[j], int(delay_bins(net.df[j, u], par)))
+            wf[j, u], df[j, u] = _oracle_sums(pairs, net.df[j, u], ref_exc_delay, par)
+    lw = np.zeros_like(net.lat_w)
+    ld = np.zeros_like(net.lat_d)
+    for e, (s, j) in enumerate(zip(net.lat_src.tolist(), net.lat_tgt.tolist())):
+        rule = ref_inh_delay if net.is_inh[s] and not net.cfg.inh_rules_shared else ref_exc_delay
+        delay = int(delay_bins(net.lat_d[e], par, LATERAL_DELAY_FLOOR))
+        lw[e], ld[e] = _oracle_sums(ref_pairs(posts[s], posts[j], delay), net.lat_d[e], rule, par)
+    return wf, df, lw, ld
+
+
+def _assert_decision_deltas(got, want):
+    for name, g, w in zip(("wf", "df", "lat_w", "lat_d"), got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_decision_pair_deltas_match_per_synapse_oracle(shared):
+    net = build_network(tiny_cfg(inh_rules_shared=shared), (2, 6, 6))
+    inh_src = net.is_inh[net.lat_src]
+    assert inh_src.any() and not inh_src.all()
+    rng = np.random.default_rng(7)
+    units = rng.choice(net.n_pool, size=net.n_pool // 2, replace=False)
+    times = rng.integers(0, 24, units.size)
+    order = np.argsort(times, kind="stable")
+    pooled_t, pooled_unit = times[order], units[order]
+    # several spikes per decision neuron, at most one per bin, in time order
+    dec_t, dec_j = np.nonzero(rng.random((40, net.n_dec)) < 0.15)
+    got = _decision_pair_deltas(net, pooled_t, pooled_unit, dec_t, dec_j)
+    want = _decision_oracle(net, pooled_t, pooled_unit, dec_t, dec_j)
+    assert (want[2] != 0.0).sum() > net.lat_w.size // 2
+    _assert_decision_deltas(got, want)
+
+
+def test_decision_pair_deltas_pair_late_forward_arrivals_with_last_post_spike():
+    net = build_network(tiny_cfg(), (2, 6, 6))
+    par = net.cfg.plasticity
+    net.df[:, 2] = par.d_max
+    # unit 2 spikes at 20 and arrives at 28, after every decision spike
+    pooled_t = np.array([1, 20], np.int64)
+    pooled_unit = np.array([0, 2], np.int64)
+    dec_t = np.array([3, 5, 9, 12], np.int64)
+    dec_j = np.array([0, 1, 0, 1], np.int64)
+    got = _decision_pair_deltas(net, pooled_t, pooled_unit, dec_t, dec_j)
+    _assert_decision_deltas(got, _decision_oracle(net, pooled_t, pooled_unit, dec_t, dec_j))
+    dt = 9 - 20 - par.d_max
+    assert got[0][0, 2] == pytest.approx(ref_weight(dt, par), rel=1e-15)
+    assert got[1][0, 2] == pytest.approx(ref_exc_delay(dt, par), rel=1e-15)
 
 
 def test_frozen_neuron_delays_pinned_during_phase2():
