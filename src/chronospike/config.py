@@ -57,6 +57,16 @@ RETIRED_FIELDS: dict[tuple[str, str], bool | None] = {
     ("regulation", "gate_in_eval"): True,
 }
 
+#: Time constants, as (section, name): the leak and the rule kernels divide
+#: by them, so each must be positive.
+POSITIVE_FIELDS = {
+    ("lif", "tau_m"),
+    ("plasticity", "tau_plus"),
+    ("plasticity", "tau_minus"),
+    ("plasticity", "sigma_plus"),
+    ("plasticity", "sigma_minus"),
+}
+
 
 @dataclass(frozen=True)
 class LIFParams:
@@ -253,9 +263,7 @@ class RunConfig:
             raise ConfigError(
                 f"unknown delay_mode: {self.delay_mode!r} (choices: {', '.join(DELAY_MODES)})"
             )
-        v = self.fixed_delay_value
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ConfigError(f"fixed_delay_value must be a finite number, got {v!r}")
+        _check_numbers(self)
 
     def is_disabled(self, mechanism: str) -> bool:
         return mechanism in self.disabled
@@ -292,6 +300,27 @@ class RunConfig:
         if "disabled" in kw and kw["disabled"] is not None:
             kw["disabled"] = tuple(kw["disabled"])
         return cls(**kw)
+
+
+def _check_numbers(cfg: RunConfig) -> None:
+    """Reject, naming the field, a float field of ``cfg`` or of one of its
+    sections that is not a finite number, and a time constant of
+    :data:`POSITIVE_FIELDS` that is not positive."""
+    sections = {"": cfg}
+    sections.update((f.name, getattr(cfg, f.name)) for f in dataclasses.fields(cfg))
+    for section, obj in sections.items():
+        if not dataclasses.is_dataclass(obj):
+            continue
+        for f in dataclasses.fields(obj):
+            v = getattr(obj, f.name)
+            name = f"{section}.{f.name}" if section else f.name
+            numbers = v if isinstance(v, tuple) else (v,)
+            if (f.type == "float" and not isinstance(v, (int, float))) or any(
+                isinstance(x, float) and not math.isfinite(x) for x in numbers
+            ):
+                raise ConfigError(f"{name} must be a finite number, got {v!r}")
+            if (section, f.name) in POSITIVE_FIELDS and not v > 0:
+                raise ConfigError(f"{name} must be positive, got {v!r}")
 
 
 def _check_keys(cls, data: dict[str, Any]) -> None:

@@ -187,20 +187,6 @@ def bin_frames(
     return FrameSequence(frames, bin_width_ms=1000.0 / fps, label=label, subject_id=subject_id)
 
 
-def implied_events(frames: np.ndarray, fps: float, sensor_size=None) -> EventStream:
-    """One event per set bit, placed at its bin's center time.
-
-    Centers re-bin to the original index, so binning the implied events of a
-    binned tensor reproduces that tensor exactly.
-    """
-    t_bin, p, y, x = np.nonzero(frames)
-    t_us = np.round((t_bin + 0.5) * 1e6 / fps).astype(np.int64)
-    order = np.argsort(t_us, kind="stable")
-    if sensor_size is None:
-        sensor_size = (frames.shape[3], frames.shape[2])
-    return EventStream(x[order], y[order], p[order], t_us[order], sensor_size)
-
-
 def split_dataset(samples: list[FrameSequence]) -> tuple[list[FrameSequence], list[FrameSequence]]:
     """Subject-based split with label relabeling.
 

@@ -236,125 +236,66 @@ def compute_reward(counts: np.ndarray, target: int, kappa: float, clip_val: floa
 
 
 def _conv_pair_deltas(net: Network, frames: np.ndarray, spikes: np.ndarray):
-    """Pair every conv spike with input arrivals and sum the rule kernels.
-
-    Pairing is nearest-neighbor per position-specific synapse: each post
-    spike pairs with the most recent arrival at or before it, each arrival
-    with the most recent post spike strictly before it. The per-position
-    deltas of one map are averaged over all its positions so the shared
-    kernels stay exactly shared.
-    """
-    cfg = net.cfg
-    top = cfg.topology
-    par = cfg.plasticity
-    kh, kw = top.kernel
-    st = top.stride
-    hc, wc = net.conv_hw
-    t_in = frames.shape[0]
-    t_tot = spikes.shape[0]
-    dint = pl.delay_bins(net.conv_d, par)
-    n_pos = hc * wc
-    dw = np.zeros_like(net.conv_w)
-    dd = np.zeros_like(net.conv_d)
-    tt = np.arange(t_tot, dtype=np.int64)[:, None, None]
+    """Sum the unsupervised rule kernels over the pairs of every
+    position-specific conv synapse, then average each shared kernel tap over
+    the positions so the shared kernels stay exactly shared. Maps pair one
+    at a time, so only one map's pairs are held in memory."""
+    par = net.cfg.plasticity
+    st = net.cfg.topology.stride
+    n_taps = net.conv_w[0].size
+    n_pos = spikes[0, 0].size
+    # synapse (p, ky, kx, y, x) of a map joins input pixel (p, y*st+ky, x*st+kx) to its unit (y, x)
+    p, ky, kx, y, x = np.indices(net.conv_w.shape[1:] + net.conv_hw).reshape(5, -1)
+    pre_of = np.ravel_multi_index((p, y * st + ky, x * st + kx), frames.shape[1:])
+    post_of = np.ravel_multi_index((y, x), net.conv_hw)
+    tap = np.repeat(np.arange(n_taps), n_pos)
+    pre_t, pre_n = np.nonzero(frames.reshape(frames.shape[0], -1))
+    dint = pl.delay_bins(net.conv_d, par).reshape(net.n_maps, n_taps)
+    dw = np.zeros((net.n_maps, n_taps))
+    dd = np.zeros((net.n_maps, n_taps))
     for m in range(net.n_maps):
-        post = spikes[:, m]
-        if not post.any():
-            continue
-        post_t = np.where(post, tt, -1)
-        last_post = np.maximum.accumulate(post_t, axis=0)
-        prev_post = np.empty_like(last_post)
-        prev_post[0] = -1
-        prev_post[1:] = last_post[:-1]
-        for p in range(frames.shape[1]):
-            for ky in range(kh):
-                for kx in range(kw):
-                    sl = frames[:, p, ky : ky + hc * st : st, kx : kx + wc * st : st].astype(bool)
-                    if not sl.any():
-                        continue
-                    di = int(dint[m, p, ky, kx])
-                    d_c = net.conv_d[m, p, ky, kx]
-                    arr = np.zeros((t_tot, hc, wc), dtype=bool)
-                    arr[di : di + t_in] = sl
-                    arr_t = np.where(arr, tt, -1)
-                    last_arr = np.maximum.accumulate(arr_t, axis=0)
-                    mask = post & (last_arr >= 0)
-                    if mask.any():
-                        dt_w = (tt - last_arr)[mask] + (di - d_c)
-                        dw[m, p, ky, kx] += pl.stdp_weight_delta(0.0, dt_w, 0.0, par).sum()
-                        dd[m, p, ky, kx] += pl.unsupervised_delay_delta(0.0, dt_w, 0.0, par).sum()
-                    mask = arr & (prev_post >= 0)
-                    if mask.any():
-                        dt_w = (prev_post - tt)[mask] + (di - d_c)
-                        dw[m, p, ky, kx] += pl.stdp_weight_delta(0.0, dt_w, 0.0, par).sum()
-                        dd[m, p, ky, kx] += pl.unsupervised_delay_delta(0.0, dt_w, 0.0, par).sum()
-    dw /= n_pos
-    dd /= n_pos
-    return dw, dd
+        post_t, post_n = np.nonzero(spikes[:, m].reshape(spikes.shape[0], -1))
+        syn, t_pre, t_post = pl.nearest_pairs(pre_t, pre_n, post_t, post_n, pre_of, post_of, dint[m, tap])
+        tm = tap[syn]
+        d = net.conv_d[m].ravel()[tm]
+        dw[m] = np.bincount(tm, pl.stdp_weight_delta(t_pre, t_post, d, par), n_taps)
+        dd[m] = np.bincount(tm, pl.unsupervised_delay_delta(t_pre, t_post, d, par), n_taps)
+    return dw.reshape(net.conv_w.shape) / n_pos, dd.reshape(net.conv_d.shape) / n_pos
 
 
 def _decision_pair_deltas(net: Network, pooled_t, pooled_unit, dec_t, dec_j):
-    """Accumulate decision-layer pair kernels at unit reward.
+    """Sum the decision-layer rule kernels over the pairs of every synapse,
+    at unit reward.
 
     All rules are linear in the reward, so the sums get multiplied by the
-    actual reward at apply time. The weight kernel has one closed form for
-    both synapse signs; the delay kernel switches to the inhibitory variant
-    for edges whose source neuron is inhibitory. With ``inh_rules_shared``
-    (the pathology ablation) every lateral edge gets the excitatory delay
-    rule, and :func:`_apply_decision_plasticity` gives it the excitatory
-    weight domain as well.
+    actual reward at apply time. Pooled units and decision neurons form one
+    pre population, so forward synapses and lateral edges pair in one call.
+    The weight kernel has one closed form for both synapse signs; the edges
+    of :func:`_inh_rule_edges` take the inhibitory delay rule.
     """
     par = net.cfg.plasticity
-    dwf = np.zeros_like(net.wf)
-    ddf = np.zeros_like(net.df)
-    dlw = np.zeros_like(net.lat_w)
-    dld = np.zeros_like(net.lat_d)
-    if dec_t.size == 0:
-        return dwf, ddf, dlw, dld
-
-    spiking = np.unique(dec_j)
-    posts = {int(j): dec_t[dec_j == j] for j in spiking}
-
-    if pooled_t.size:
-        pooled_tf = pooled_t.astype(float)
-        for j, pt in posts.items():
-            row_d = net.df[j, pooled_unit]
-            arr = pooled_t + pl.delay_bins(row_d, par)
-            for t_post in pt:
-                m = arr <= t_post
-                if m.any():
-                    dt = float(t_post) - pooled_tf[m] - row_d[m]
-                    cols = pooled_unit[m]
-                    dwf[j, cols] += pl.stdp_weight_delta(0.0, dt, 0.0, par)
-                    ddf[j, cols] += pl.unsupervised_delay_delta(0.0, dt, 0.0, par)
-            k = np.searchsorted(pt, arr, side="left") - 1
-            m = k >= 0
-            if m.any():
-                dt = pt[k[m]].astype(float) - pooled_tf[m] - row_d[m]
-                cols = pooled_unit[m]
-                dwf[j, cols] += pl.stdp_weight_delta(0.0, dt, 0.0, par)
-                ddf[j, cols] += pl.unsupervised_delay_delta(0.0, dt, 0.0, par)
-
-    if net.lat_src.size:
-        inh_e = _inh_rule_edges(net)
-        lat_dint = pl.delay_bins(net.lat_d, par, pl.LATERAL_DELAY_FLOOR)
-        for e in range(net.lat_src.size):
-            s = int(net.lat_src[e])
-            j = int(net.lat_tgt[e])
-            pre = posts.get(s)
-            post = posts.get(j)
-            if pre is None or post is None:
-                continue
-            tp, tq = pl.pair_spikes(pre, post, int(lat_dint[e]))
-            if tp.size == 0:
-                continue
-            d_e = net.lat_d[e]
-            dlw[e] += pl.stdp_weight_delta(tp, tq, d_e, par).sum()
-            if inh_e[e]:
-                dld[e] += pl.inhibitory_delay_delta(tp, tq, d_e, 1.0, par).sum()
-            else:
-                dld[e] += pl.unsupervised_delay_delta(tp, tq, d_e, par).sum()
-    return dwf, ddf, dlw, dld
+    n_fwd = net.wf.size
+    n_pool = net.n_pool
+    d = np.concatenate([net.df.ravel(), net.lat_d])
+    syn, t_pre, t_post = pl.nearest_pairs(
+        np.concatenate([pooled_t, dec_t]),
+        np.concatenate([pooled_unit, n_pool + dec_j]),
+        dec_t,
+        dec_j,
+        np.concatenate([np.tile(np.arange(n_pool), net.n_dec), n_pool + net.lat_src]),
+        np.concatenate([np.repeat(np.arange(net.n_dec), n_pool), net.lat_tgt]),
+        np.concatenate(
+            [pl.delay_bins(net.df, par).ravel(), pl.delay_bins(net.lat_d, par, pl.LATERAL_DELAY_FLOOR)]
+        ),
+    )
+    d = d[syn]
+    inh = np.concatenate([np.zeros(n_fwd, dtype=bool), _inh_rule_edges(net)])[syn]
+    dd = np.empty(syn.size)
+    dd[~inh] = pl.unsupervised_delay_delta(t_pre[~inh], t_post[~inh], d[~inh], par)
+    dd[inh] = pl.inhibitory_delay_delta(t_pre[inh], t_post[inh], d[inh], 1.0, par)
+    dw = np.bincount(syn, pl.stdp_weight_delta(t_pre, t_post, d, par), n_fwd + net.lat_w.size)
+    dd = np.bincount(syn, dd, n_fwd + net.lat_d.size)
+    return dw[:n_fwd].reshape(net.wf.shape), dd[:n_fwd].reshape(net.df.shape), dw[n_fwd:], dd[n_fwd:]
 
 
 def _inh_rule_edges(net: Network) -> np.ndarray:

@@ -1,5 +1,19 @@
 """Spike-pair update rules for weights and conduction delays.
 
+Pairing is nearest-neighbour per synapse, on arrival times: a pre spike
+emitted at bin u on a synapse of k whole bins of delay arrives at u + k.
+Each post spike pairs with the latest arrival at or before it (a causal
+pair), and each arrival with the latest post spike strictly before it (an
+anti-causal pair), so an arrival after the last post spike pairs with that
+spike. With last_pre(t) the latest pre spike at or before bin t and
+prev_post(t) the latest post spike strictly before t, the pairs of one
+synapse of delay d are
+
+    causal:       dt = t_post - last_pre(t_post - k) - d   for each post spike
+    anti-causal:  dt = prev_post(u + k) - u - d             for each pre spike u
+
+:func:`nearest_pairs` gives them for many synapses in one call.
+
 All rules are pure functions of a single (pre, post) spike pair on one
 synapse. The timing argument is always the emission-time difference
 corrected by the synapse's current delay,
@@ -48,7 +62,7 @@ __all__ = [
     "unsupervised_delay_delta",
     "reward_delay_delta",
     "inhibitory_delay_delta",
-    "pair_spikes",
+    "nearest_pairs",
     "clamp_excitatory_weights",
     "clamp_inhibitory_weights",
     "clamp_delays",
@@ -146,37 +160,57 @@ def inhibitory_delay_delta(t_pre, t_post, d, r, p: PlasticityParams):
     return _ret(np.asarray(r, dtype=float) * out)
 
 
-def pair_spikes(pre_times, post_times, delay_bins: int):
-    """Nearest-neighbor spike pairing for one synapse.
+def nearest_pairs(pre_t, pre_n, post_t, post_n, syn_pre, syn_post, syn_k):
+    """The pairs of the pairing rule (see the module docstring) on many
+    synapses at once.
 
-    ``pre_times`` and ``post_times`` are sorted emission bins; the pre side
-    is shifted by the integer delivery delay ``delay_bins`` to get arrival
-    bins. Two disjoint families of pairs are produced:
-
-    * post-anchored: each post spike with the most recent arrival at or
-      before it (a causal pair),
-    * pre-anchored: each arrival with the most recent post spike strictly
-      before it (an anti-causal pair).
-
-    Returns ``(t_pre, t_post)`` arrays of emission bins, one entry per pair.
+    Spikes are events: pre neuron ``pre_n[i]`` emits at bin ``pre_t[i]``
+    and post neuron ``post_n[i]`` at bin ``post_t[i]``, each neuron at most
+    once per bin. Synapse ``s`` carries the spikes of pre neuron
+    ``syn_pre[s]`` to post neuron ``syn_post[s]`` in ``syn_k[s]`` whole
+    bins. Returns ``(syn, t_pre, t_post)``, the synapse and the two emission
+    bins of each pair: the causal pairs by synapse and post spike, then the
+    anti-causal pairs by synapse and pre spike.
     """
-    pre = np.asarray(pre_times, dtype=np.int64)
-    post = np.asarray(post_times, dtype=np.int64)
-    if pre.size == 0 or post.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    arrivals = pre + int(delay_bins)
+    pre_t, pre_n, post_t, post_n, syn_pre, syn_post, syn_k = (
+        np.asarray(a, dtype=np.int64) for a in (pre_t, pre_n, post_t, post_n, syn_pre, syn_post, syn_k)
+    )
+    if pre_t.size == 0 or post_t.size == 0:
+        empty = np.empty(0, np.int64)
+        return empty, empty, empty
+    # one sorted key per spike, neuron * span + bin; every queried bin is below span
+    span = 1 + max(int(pre_t.max() + syn_k.max(initial=0)), int(post_t.max()))
+    pre_key = np.sort(pre_n * span + pre_t)
+    post_key = np.sort(post_n * span + post_t)
+    c_syn, c_post = _each_spike(syn_post, post_key, span)
+    c_pre = _latest(pre_key, syn_pre[c_syn], c_post - syn_k[c_syn], span, "right")
+    a_syn, a_pre = _each_spike(syn_pre, pre_key, span)
+    a_post = _latest(post_key, syn_post[a_syn], a_pre + syn_k[a_syn], span, "left")
+    c = c_pre >= 0
+    a = a_post >= 0
+    return (
+        np.concatenate([c_syn[c], a_syn[a]]),
+        np.concatenate([c_pre[c], a_pre[a]]),
+        np.concatenate([c_post[c], a_post[a]]),
+    )
 
-    k = np.searchsorted(arrivals, post, side="right") - 1
-    causal = k >= 0
-    pa_pre = pre[k[causal]]
-    pa_post = post[causal]
 
-    k2 = np.searchsorted(post, arrivals, side="left") - 1
-    anti = k2 >= 0
-    pb_pre = pre[anti]
-    pb_post = post[k2[anti]]
+def _each_spike(neuron, key, span):
+    """Synapse ``s`` with each spike bin of ``neuron[s]``, by synapse then bin."""
+    lo = np.searchsorted(key, neuron * span)
+    n = np.searchsorted(key, (neuron + 1) * span) - lo
+    syn = np.repeat(np.arange(neuron.size), n)
+    idx = np.arange(syn.size) + np.repeat(lo - np.cumsum(n) + n, n)
+    return syn, key[idx] % span
 
-    return np.concatenate([pa_pre, pb_pre]), np.concatenate([pa_post, pb_post])
+
+def _latest(key, neuron, t, span, side):
+    """Bin of the latest spike of ``neuron`` at or before ``t`` (side
+    "right") or strictly before it (side "left"); -1 where there is none."""
+    base = neuron * span
+    i = np.searchsorted(key, base + t, side=side) - 1
+    found = key[np.maximum(i, 0)]
+    return np.where((i >= 0) & (found >= base), found - base, -1)
 
 
 def clamp_excitatory_weights(w, p: PlasticityParams):

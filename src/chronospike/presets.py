@@ -97,12 +97,3 @@ def moving_bars_acceptance_config(seed: int = 0, **overrides) -> RunConfig:
     )
     base.update(overrides)
     return RunConfig(**base)
-
-
-def skewed_counts(n_classes: int, majority: int, minority: int) -> list[int]:
-    """Per-class sample counts with one over-represented class.
-
-    Class 0 gets ``majority`` samples, every other class ``minority``.
-    """
-    return [majority] + [minority] * (n_classes - 1)
-

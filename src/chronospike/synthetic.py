@@ -206,28 +206,3 @@ def moving_bars_spec(
     )
     validate_spec(spec)
     return spec
-
-
-def single_motif_spec(
-    length: int = 5,
-    lag: int = 2,
-    grid: tuple[int, int] = (6, 6),
-    pattern_length: int = 30,
-    noise_rate: float = 0.0,
-    seed: int = 0,
-) -> SyntheticSpec:
-    """One-class chain motif along a row, for layer-1 alignment checks."""
-    edges = []
-    y = grid[0] // 2
-    for c in range(length - 1):
-        edges.append(((0, y, c), (0, y, c + 1), lag))
-    spec = SyntheticSpec(
-        n_classes=1,
-        pattern_length=pattern_length,
-        grid=grid,
-        embedded_delays=(tuple(edges),),
-        noise_rate=noise_rate,
-        seed=seed,
-    )
-    validate_spec(spec)
-    return spec

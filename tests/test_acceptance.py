@@ -34,7 +34,7 @@ from chronospike.plasticity import (
     reward_stdp_weight_delta,
     unsupervised_delay_delta,
 )
-from chronospike.presets import moving_bars_acceptance_config, skewed_counts
+from chronospike.presets import moving_bars_acceptance_config
 from chronospike.regulation import interval_gain, threshold_step
 from chronospike.synthetic import gen_synthetic
 from chronospike.topology import build_network, load_checkpoint, state_hash
@@ -57,6 +57,11 @@ def _mean_abs_inh(net) -> float:
     if not mask.any():
         return 0.0
     return float(np.maximum(-net.lat_w[mask], 0.0).mean())
+
+
+def skewed_counts(n_classes: int, majority: int, minority: int) -> list[int]:
+    """Per-class sample counts: ``majority`` for class 0, ``minority`` for every other class."""
+    return [majority] + [minority] * (n_classes - 1)
 
 
 def _run(cfg, train_counts=None):

@@ -521,6 +521,19 @@ def test_ablate_rejects_non_finite_fixed_delay(ws, tmp_path, capsys, value):
     assert len(lines) == 1 and lines[0].startswith("error:") and "fixed_delay_value" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "override", ["plasticity.d_max=NaN", "lif.tau_m=0", "plasticity.tau_plus=NaN", "plasticity.sigma_minus=-1"]
+)
+def test_train_rejects_bad_numbers(ws, tmp_path, capsys, override):
+    rc = main(["train", "--config", str(ws["cfg_path"]), "--out", str(tmp_path / "t"), "--set", override])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and override.split("=")[0] in lines[0]
+    assert not (tmp_path / "t").exists()
+
+
 def test_reference_deltas_name_variants():
     assert set(REFERENCE_DELTAS_PP) <= set(VARIANTS)
 

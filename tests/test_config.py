@@ -74,6 +74,35 @@ def test_fixed_delay_value_must_be_a_finite_number(value):
         dataclasses.replace(tiny_cfg(), fixed_delay_value=value)
 
 
+@pytest.mark.parametrize("path", ["lif.tau_m", "plasticity.tau_plus", "plasticity.tau_minus",
+                                  "plasticity.sigma_plus", "plasticity.sigma_minus"])
+@pytest.mark.parametrize("value", ["0", "-2.5"])
+def test_time_constants_must_be_positive(path, value):
+    with pytest.raises(ConfigError, match=re.escape(f"{path} must be positive")):
+        apply_overrides(tiny_cfg(), [f"{path}={value}"])
+
+
+def _float_fields(obj, prefix=""):
+    """(dotted path, value) of every float leaf of ``obj``, tuples of floats included."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _float_fields(value, f"{prefix}{f.name}.")
+        elif isinstance(value, float) or (value and isinstance(value, tuple) and all(isinstance(x, float) for x in value)):
+            yield prefix + f.name, value
+
+
+def test_every_float_field_must_be_finite():
+    cfg = tiny_cfg()
+    paths = dict(_float_fields(cfg))
+    assert {"plasticity.d_max", "topology.w_conv_init", "synthetic.noise_rate", "fixed_delay_value"} <= set(paths)
+    for path, value in paths.items():
+        for bad in ("NaN", "Infinity", "-Infinity"):
+            raw = f"[{bad}, {bad}]" if isinstance(value, tuple) else bad
+            with pytest.raises(ConfigError, match=re.escape(f"{path} must be a finite number")):
+                apply_overrides(cfg, [f"{path}={raw}"])
+
+
 def _leaf_fields(cls, prefix=""):
     """(dotted path, name) of every settable leaf field under ``cls``."""
     for f in dataclasses.fields(cls):

@@ -237,10 +237,19 @@ def ref_pairs(pre, post, delay):
     return sorted(out)
 
 
+def pair_one(pre, post, delay):
+    """The pairs of one synapse of ``delay`` bins, by :func:`pl.nearest_pairs`."""
+    pre = np.asarray(pre, np.int64)
+    post = np.asarray(post, np.int64)
+    syn, tp, tq = pl.nearest_pairs(pre, np.zeros_like(pre), post, np.zeros_like(post), [0], [0], [delay])
+    assert (syn == 0).all()
+    return tp, tq
+
+
 def test_pair_spikes_example():
     pre = np.array([0, 5, 9])
     post = np.array([3, 7])
-    tp, tq = pl.pair_spikes(pre, post, 2)
+    tp, tq = pair_one(pre, post, 2)
     got = sorted(zip(tp.tolist(), tq.tolist()))
     # arrivals at 2, 7, 11: post 3 pairs with arrival 2 (pre 0); post 7 with
     # arrival 7 (pre 5, simultaneous counts causal); arrival 7 sees post 3
@@ -249,9 +258,9 @@ def test_pair_spikes_example():
 
 
 def test_pair_spikes_empty_sides():
-    tp, tq = pl.pair_spikes(np.array([], np.int64), np.array([3]), 1)
+    tp, tq = pair_one(np.array([], np.int64), np.array([3]), 1)
     assert tp.size == 0 and tq.size == 0
-    tp, tq = pl.pair_spikes(np.array([3]), np.array([], np.int64), 1)
+    tp, tq = pair_one(np.array([3]), np.array([], np.int64), 1)
     assert tp.size == 0 and tq.size == 0
 
 
@@ -264,7 +273,7 @@ def test_pair_spikes_empty_sides():
 def test_pair_spikes_matches_reference(pre, post, delay):
     pre_a = np.unique(np.asarray(pre, np.int64))
     post_a = np.unique(np.asarray(post, np.int64))
-    tp, tq = pl.pair_spikes(pre_a, post_a, delay)
+    tp, tq = pair_one(pre_a, post_a, delay)
     assert sorted(zip(tp.tolist(), tq.tolist())) == ref_pairs(
         pre_a.tolist(), post_a.tolist(), delay
     )
@@ -279,9 +288,34 @@ def test_pair_spikes_matches_reference(pre, post, delay):
 def test_pair_counts_bounded(pre, post, delay):
     pre_a = np.unique(np.asarray(pre, np.int64))
     post_a = np.unique(np.asarray(post, np.int64))
-    tp, _tq = pl.pair_spikes(pre_a, post_a, delay)
+    tp, _tq = pair_one(pre_a, post_a, delay)
     # one causal pair per post spike at most, one anti-causal per pre spike
     assert tp.size <= post_a.size + pre_a.size
+
+
+neurons = st.integers(min_value=0, max_value=3)
+
+
+@given(
+    pre=st.sets(st.tuples(neurons, st.integers(min_value=0, max_value=40)), max_size=24),
+    post=st.sets(st.tuples(neurons, st.integers(min_value=0, max_value=40)), max_size=24),
+    synapses=st.lists(st.tuples(neurons, neurons, st.integers(min_value=0, max_value=10)), max_size=8),
+)
+@settings(max_examples=200)
+def test_nearest_pairs_of_many_synapses_match_reference_in_order(pre, post, synapses):
+    pre_n, pre_t = np.array(sorted(pre), np.int64).reshape(-1, 2).T
+    post_n, post_t = np.array(sorted(post), np.int64).reshape(-1, 2).T
+    syn_pre, syn_post, syn_k = np.array(synapses, np.int64).reshape(-1, 3).T
+    syn, tp, tq = pl.nearest_pairs(pre_t, pre_n, post_t, post_n, syn_pre, syn_post, syn_k)
+    causal, anti = [], []
+    for s, (i, j, k) in enumerate(synapses):
+        times_pre = sorted(t for n, t in pre if n == i)
+        times_post = sorted(t for n, t in post if n == j)
+        for a, b in ref_pairs(times_pre, times_post, k):
+            (causal if a + k <= b else anti).append((s, a, b))
+    # causal pairs by synapse and post spike, then anti-causal by synapse and pre spike
+    want = sorted(causal, key=lambda x: (x[0], x[2])) + sorted(anti)
+    assert list(zip(syn.tolist(), tp.tolist(), tq.tolist())) == want
 
 
 # -- clamps ----------------------------------------------------------------------

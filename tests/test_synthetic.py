@@ -12,7 +12,6 @@ from chronospike.synthetic import (
     gen_synthetic,
     moving_bars_spec,
     oracle_accuracy,
-    single_motif_spec,
     template_classify,
     validate_spec,
 )
@@ -153,6 +152,15 @@ def test_classes_differ_only_in_timing():
     collapsed = [s.frames.max(axis=0) for s in samples]
     for c in collapsed[1:]:
         np.testing.assert_array_equal(c, collapsed[0])
+
+
+def single_motif_spec(length: int, lag: int) -> SyntheticSpec:
+    """One-class chain motif of ``length`` cells along a row of a 6x6 grid."""
+    y = 3
+    edges = tuple(((0, y, c), (0, y, c + 1), lag) for c in range(length - 1))
+    spec = SyntheticSpec(n_classes=1, pattern_length=30, grid=(6, 6), embedded_delays=(edges,), noise_rate=0.0)
+    validate_spec(spec)
+    return spec
 
 
 def test_single_motif_is_one_chain():
