@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -65,6 +66,29 @@ POSITIVE_FIELDS = {
     ("plasticity", "tau_minus"),
     ("plasticity", "sigma_plus"),
     ("plasticity", "sigma_minus"),
+}
+
+#: Least allowed value of a field, as (section, name). Every int field is
+#: listed but ``topology.n_classes``, ``n_per_class`` and ``stride``, which
+#: the network checks when it is built.
+MINIMA = {
+    ("", "seed"): 0,
+    ("", "synthetic_train_per_class"): 1,
+    ("", "synthetic_test_per_class"): 1,
+    ("lif", "t_ref"): 0,
+    ("topology", "n_maps"): 1,
+    ("plasticity", "d_max"): 0,
+    ("regulation", "dc_upper"): 1,
+    ("regulation", "activity_window"): 1,
+    ("regulation", "long_window"): 1,
+    ("regulation", "decision_window_per_class"): 1,
+    ("harness", "max_epochs_l1"): 0,
+    ("harness", "max_epochs_l2"): 0,
+    ("harness", "freeze_window"): 0,
+    ("harness", "flush_factor"): 0,
+    ("synthetic", "n_classes"): 1,
+    ("synthetic", "pattern_length"): 1,
+    ("synthetic", "seed"): 0,
 }
 
 
@@ -304,8 +328,9 @@ class RunConfig:
 
 def _check_numbers(cfg: RunConfig) -> None:
     """Reject, naming the field, a float field of ``cfg`` or of one of its
-    sections that is not a finite number, and a time constant of
-    :data:`POSITIVE_FIELDS` that is not positive."""
+    sections that is not a finite number, an int field that holds no int
+    (or a bool), a time constant of :data:`POSITIVE_FIELDS` that is not
+    positive and a field below its entry in :data:`MINIMA`."""
     sections = {"": cfg}
     sections.update((f.name, getattr(cfg, f.name)) for f in dataclasses.fields(cfg))
     for section, obj in sections.items():
@@ -314,13 +339,19 @@ def _check_numbers(cfg: RunConfig) -> None:
         for f in dataclasses.fields(obj):
             v = getattr(obj, f.name)
             name = f"{section}.{f.name}" if section else f.name
-            numbers = v if isinstance(v, tuple) else (v,)
+            values = v if isinstance(v, tuple) else (v,)
             if (f.type == "float" and not isinstance(v, (int, float))) or any(
-                isinstance(x, float) and not math.isfinite(x) for x in numbers
+                isinstance(x, float) and not math.isfinite(x) for x in values
             ):
                 raise ConfigError(f"{name} must be a finite number, got {v!r}")
+            if f.type in ("int", "tuple[int, int]") and not all(
+                isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in values
+            ):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
             if (section, f.name) in POSITIVE_FIELDS and not v > 0:
                 raise ConfigError(f"{name} must be positive, got {v!r}")
+            if (section, f.name) in MINIMA and not v >= MINIMA[section, f.name]:
+                raise ConfigError(f"{name} must be at least {MINIMA[section, f.name]}, got {v!r}")
 
 
 def _check_keys(cls, data: dict[str, Any]) -> None:
@@ -342,7 +373,14 @@ def _plain_from_dict(cls, data: dict[str, Any], tuple_fields=()):
 
 
 def to_dict(cfg) -> dict[str, Any]:
-    return dataclasses.asdict(cfg)
+    """``dataclasses.asdict(cfg)`` without its deep copies: only the
+    dataclass levels become new dicts; the leaves (numbers, strings,
+    tuples) are immutable and are shared."""
+    out = {}
+    for f in dataclasses.fields(cfg):
+        v = getattr(cfg, f.name)
+        out[f.name] = to_dict(v) if dataclasses.is_dataclass(v) else v
+    return out
 
 
 def canonical_json(obj: Any) -> str:

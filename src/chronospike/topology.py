@@ -173,28 +173,28 @@ def conv_forward_currents(net: Network, frames: np.ndarray) -> np.ndarray:
     """Precompute the delayed, weighted input to every conv neuron.
 
     Valid because nothing feeds back into the convolutional sheet: all its
-    input is known up front, so each input spike can be added into the
-    current tensor at its delivery bin directly. Returns
-    [T + d_max + 1, n_maps, Hc, Wc].
-    """
-    top = net.cfg.topology
-    d_max_int = int(round(net.cfg.plasticity.d_max))
-    t_in = frames.shape[0]
+    input is known up front. The work follows the input events: an event at
+    bin t seen by tap j = (p, ky, kx) from conv cell c is the term
+    ``conv_w[m, j] * value`` at bin ``t + dint[m, j]`` of cell c, and one
+    ``np.bincount`` per map m sums the terms. Events are listed tap by tap
+    in (p, ky, kx) order, a cell gets at most one term per tap, and bincount
+    adds in input order, so every cell sums the same terms in the same order
+    as a loop over taps adding whole frame slices, bit for bit. Returns
+    [T + d_max + 1, n_maps, Hc, Wc]."""
     hc, wc = net.conv_hw
-    st = top.stride
-    kh, kw = top.kernel
-    dint = pl.delay_bins(net.conv_d, net.cfg.plasticity)
-    out = np.zeros((t_in + d_max_int + 1, net.n_maps, hc, wc))
-    for p in range(frames.shape[1]):
-        for ky in range(kh):
-            for kx in range(kw):
-                sl = frames[:, p, ky : ky + hc * st : st, kx : kx + wc * st : st]
-                if not sl.any():
-                    continue
-                slf = sl.astype(float)
-                for m in range(net.n_maps):
-                    dd = dint[m, p, ky, kx]
-                    out[dd : dd + t_in, m] += net.conv_w[m, p, ky, kx] * slf
+    st, (kh, kw) = net.cfg.topology.stride, net.cfg.topology.kernel
+    cell, tap, value = [], [], []
+    for j, (p, ky, kx) in enumerate(np.ndindex(frames.shape[1], kh, kw)):
+        sl = frames[:, p, ky : ky + hc * st : st, kx : kx + wc * st : st].ravel()
+        cell.append(np.flatnonzero(sl))  # t * Hc * Wc + y * Wc + x
+        value.append(sl[cell[-1]])
+        tap.append(np.full(cell[-1].size, j))
+    cell, tap, value = (np.concatenate(a) for a in (cell, tap, value))
+    dint = pl.delay_bins(net.conv_d, net.cfg.plasticity).reshape(net.n_maps, -1)
+    out = np.empty((frames.shape[0] + int(round(net.cfg.plasticity.d_max)) + 1, net.n_maps, hc, wc))
+    for m in range(net.n_maps):
+        terms = net.conv_w[m].ravel()[tap] * value
+        out[:, m] = np.bincount(cell + dint[m, tap] * (hc * wc), terms, out[:, m].size).reshape(-1, hc, wc)
     return out
 
 

@@ -522,7 +522,11 @@ def test_ablate_rejects_non_finite_fixed_delay(ws, tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize(
-    "override", ["plasticity.d_max=NaN", "lif.tau_m=0", "plasticity.tau_plus=NaN", "plasticity.sigma_minus=-1"]
+    "override",
+    [
+        "plasticity.d_max=NaN", "lif.tau_m=0", "plasticity.tau_plus=NaN", "plasticity.sigma_minus=-1",
+        'harness.max_epochs_l1="x"', "topology.n_maps=0", "lif.t_ref=-5", "plasticity.d_max=-3",
+    ],
 )
 def test_train_rejects_bad_numbers(ws, tmp_path, capsys, override):
     rc = main(["train", "--config", str(ws["cfg_path"]), "--out", str(tmp_path / "t"), "--set", override])

@@ -10,6 +10,7 @@ import pytest
 from conftest import tiny_cfg
 
 from chronospike.config import (
+    MINIMA,
     ConfigError,
     RunConfig,
     apply_overrides,
@@ -101,6 +102,54 @@ def test_every_float_field_must_be_finite():
             raw = f"[{bad}, {bad}]" if isinstance(value, tuple) else bad
             with pytest.raises(ConfigError, match=re.escape(f"{path} must be a finite number")):
                 apply_overrides(cfg, [f"{path}={raw}"])
+
+
+def _int_fields(obj, prefix=""):
+    """(dotted path, value) of every int field of ``obj`` and its sections."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _int_fields(value, f"{prefix}{f.name}.")
+        elif f.type == "int":
+            yield prefix + f.name, value
+
+
+def test_every_int_field_must_hold_an_int():
+    paths = dict(_int_fields(tiny_cfg()))
+    assert {"seed", "lif.t_ref", "topology.n_maps", "harness.max_epochs_l1", "synthetic.pattern_length"} <= set(paths)
+    for path in paths:
+        for bad in ('"x"', "true", "1.5", "null"):
+            with pytest.raises(ConfigError, match=re.escape(f"{path} must be an integer")):
+                apply_overrides(tiny_cfg(), [f"{path}={bad}"])
+    for path in ("topology.kernel", "topology.pool"):
+        with pytest.raises(ConfigError, match=re.escape(f"{path} must be an integer")):
+            apply_overrides(tiny_cfg(), [f"{path}=[2, 2.0]"])
+
+
+def test_minima_bound_every_int_field_the_network_does_not():
+    paths = {f"{section}.{name}" if section else name: least for (section, name), least in MINIMA.items()}
+    ints = set(dict(_int_fields(tiny_cfg())))
+    assert ints - set(paths) == {"topology.n_classes", "topology.n_per_class", "topology.stride"}
+    for path, least in paths.items():
+        apply_overrides(tiny_cfg(), [f"{path}={least}"])
+        with pytest.raises(ConfigError, match=re.escape(f"{path} must be at least {least}")):
+            apply_overrides(tiny_cfg(), [f"{path}={least - 1}"])
+
+
+def test_to_dict_equals_asdict():
+    cfg = tiny_cfg()
+    assert cfg.synthetic is not None and cfg.synthetic.embedded_delays
+    assert to_dict(cfg) == dataclasses.asdict(cfg)
+
+
+def test_apply_overrides_leaves_the_source_config_unchanged():
+    cfg = tiny_cfg()
+    before = dataclasses.asdict(cfg)
+    out = apply_overrides(
+        cfg, ["seed=3", "topology.kernel=[2, 2]", "harness.max_epochs_l1=5", "synthetic.embedded_delays=[[], [], []]"]
+    )
+    assert dataclasses.asdict(cfg) == before and cfg == tiny_cfg()
+    assert (out.seed, out.topology.kernel, out.synthetic.embedded_delays) == (3, (2, 2), ((), (), ()))
 
 
 def _leaf_fields(cls, prefix=""):

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from chronospike.config import PlasticityParams, RunConfig, TopologyParams, apply_variant, config_hash
 from chronospike.core import DelayBuffer, lif_step
@@ -198,6 +200,71 @@ def test_conv_currents_match_brute_force_stride_2():
     np.testing.assert_allclose(
         conv_forward_currents(net, frames), brute_force_currents(net, frames), rtol=1e-12, atol=0
     )
+
+
+def tap_loop_currents(net, frames):
+    """Reference: the dense formulation, one whole [T, Hc, Wc] frame slice
+    added per tap and map, taps in (p, ky, kx) order."""
+    top = net.cfg.topology
+    d_max_int = int(round(net.cfg.plasticity.d_max))
+    t_in = frames.shape[0]
+    hc, wc = net.conv_hw
+    st = top.stride
+    kh, kw = top.kernel
+    dint = np.clip(np.rint(net.conv_d), 0, d_max_int).astype(np.int64)
+    out = np.zeros((t_in + d_max_int + 1, net.n_maps, hc, wc))
+    for p in range(frames.shape[1]):
+        for ky in range(kh):
+            for kx in range(kw):
+                sl = frames[:, p, ky : ky + hc * st : st, kx : kx + wc * st : st]
+                if not sl.any():
+                    continue
+                slf = sl.astype(float)
+                for m in range(net.n_maps):
+                    dd = dint[m, p, ky, kx]
+                    out[dd : dd + t_in, m] += net.conv_w[m, p, ky, kx] * slf
+    return out
+
+
+@given(
+    stride=hst.integers(min_value=1, max_value=3),
+    kernel=hst.tuples(hst.integers(min_value=1, max_value=4), hst.integers(min_value=1, max_value=4)),
+    extra=hst.tuples(hst.integers(min_value=0, max_value=6), hst.integers(min_value=0, max_value=6)),
+    n_maps=hst.integers(min_value=1, max_value=4),
+    n_pol=hst.integers(min_value=1, max_value=2),
+    n_bins=hst.integers(min_value=1, max_value=8),
+    d_max=hst.sampled_from([0.0, 1.0, 2.5, 6.0]),
+    density=hst.floats(min_value=0.0, max_value=0.7),
+    dtype=hst.sampled_from([np.uint8, np.bool_]),
+    seed=hst.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_conv_currents_equal_tap_loop(stride, kernel, extra, n_maps, n_pol, n_bins, d_max, density, dtype, seed):
+    """Exact equality with the dense tap loop, over strides, kernels, maps,
+    inputs the stride does not tile, delays at 0 and at d_max, uint8 frames
+    holding counts and bool frames. Weights span six decades and both signs,
+    so a change in the order of any sum would show in the last bits."""
+    rng = np.random.default_rng(seed)
+    h, w = kernel[0] + extra[0], kernel[1] + extra[1]
+    top = TopologyParams(n_maps=n_maps, kernel=kernel, stride=stride, pool=(1, 1), n_classes=2, n_per_class=1)
+    net = build_network(RunConfig(seed=1, topology=top, plasticity=PlasticityParams(d_max=d_max)), (n_pol, h, w))
+    shape = net.conv_w.shape
+    net.conv_w[:] = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-3, 3, shape)
+    at_bound = rng.integers(0, 2, shape) * d_max
+    net.conv_d[:] = np.where(rng.random(shape) < 0.5, at_bound, rng.uniform(0.0, d_max, shape))
+    frames = rng.random((n_bins, n_pol, h, w)) < density
+    if dtype is np.uint8:
+        frames = frames * rng.integers(1, 4, frames.shape).astype(np.uint8)
+    cur = conv_forward_currents(net, frames)
+    assert cur.dtype == np.float64
+    assert np.array_equal(cur, tap_loop_currents(net, frames))
+
+
+def test_conv_currents_of_empty_frames_are_zero():
+    net = build_network(small_cfg(), (2, 8, 8))
+    cur = conv_forward_currents(net, np.zeros((5, 2, 8, 8), np.uint8))
+    assert cur.shape == (5 + 6 + 1, 3, 6, 6) and cur.dtype == np.float64
+    assert not cur.any()
 
 
 def test_conv_translation_equivariance():
