@@ -328,9 +328,9 @@ class RunConfig:
 
 def _check_numbers(cfg: RunConfig) -> None:
     """Reject, naming the field, a float field of ``cfg`` or of one of its
-    sections that is not a finite number, an int field that holds no int
-    (or a bool), a time constant of :data:`POSITIVE_FIELDS` that is not
-    positive and a field below its entry in :data:`MINIMA`."""
+    sections that is not a finite number (or is a bool), an int field that
+    holds no int (or a bool), a time constant of :data:`POSITIVE_FIELDS`
+    that is not positive and a field below its entry in :data:`MINIMA`."""
     sections = {"": cfg}
     sections.update((f.name, getattr(cfg, f.name)) for f in dataclasses.fields(cfg))
     for section, obj in sections.items():
@@ -339,10 +339,10 @@ def _check_numbers(cfg: RunConfig) -> None:
         for f in dataclasses.fields(obj):
             v = getattr(obj, f.name)
             name = f"{section}.{f.name}" if section else f.name
-            values = v if isinstance(v, tuple) else (v,)
-            if (f.type == "float" and not isinstance(v, (int, float))) or any(
-                isinstance(x, float) and not math.isfinite(x) for x in values
-            ):
+            values = v if isinstance(v, tuple) and f.type.startswith("tuple") else (v,)
+            real = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values)
+            finite = all(not isinstance(x, float) or math.isfinite(x) for x in values)
+            if ("float" in f.type and not real) or not finite:
                 raise ConfigError(f"{name} must be a finite number, got {v!r}")
             if f.type in ("int", "tuple[int, int]") and not all(
                 isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in values

@@ -109,8 +109,5 @@ class SpikeRecord:
 
     def class_first_spike(self, class_of: np.ndarray, n_classes: int) -> np.ndarray:
         first = np.full(n_classes, np.inf)
-        for t, j in zip(self.decision_t, self.decision_neuron):
-            c = class_of[j]
-            if t < first[c]:
-                first[c] = t
+        np.minimum.at(first, class_of[self.decision_neuron], self.decision_t)
         return first

@@ -109,29 +109,25 @@ def _pooled_spikes(net: Network, conv_first: np.ndarray):
 def _decision_sim(net: Network, pooled_t, pooled_unit, t_input: int, gate: DecentralizeGate):
     """Step the decision layer bin by bin.
 
-    Forward deliveries are precomputed (the pooled layer gets no feedback);
-    lateral deliveries go through a ring buffer since they do recur. The
-    loop drains all in-flight input after the stimulus ends, with a hard cap
-    so self-sustaining lateral loops cannot run forever.
+    Forward deliveries are precomputed (the pooled layer gets no feedback),
+    each cell summing its terms in pooled-spike order; lateral deliveries go
+    through a ring buffer since they do recur, scheduled by source neuron,
+    then edge index. The loop drains all in-flight input after the stimulus
+    ends, with a hard cap so self-sustaining lateral loops cannot run forever.
     """
     lif = net.cfg.lif
-    d_max_int = int(round(net.cfg.plasticity.d_max))
+    par = net.cfg.plasticity
+    d_max_int = int(round(par.d_max))
     n = net.n_dec
-    fwd_len = int(t_input) + 2 * (d_max_int + 1) + 2
-    fcur = np.zeros((fwd_len, n))
-    f_last = -1
-    cols = np.arange(n)
-    for t_u, u in zip(pooled_t, pooled_unit):
-        rows = int(t_u) + pl.delay_bins(net.df[:, u], net.cfg.plasticity)
-        fcur[rows, cols] += net.wf[:, u]
-        f_last = max(f_last, int(rows.max()))
+    fcur = np.zeros((int(t_input) + 2 * (d_max_int + 1) + 2, n))
+    rows = pooled_t[:, None] + pl.delay_bins(net.df[:, pooled_unit], par).T
+    np.add.at(fcur, (rows, np.arange(n)), net.wf[:, pooled_unit].T)
+    f_last = int(rows.max(initial=-1))
 
-    have_lat = net.lat_src.size > 0
-    out_edges = net.lateral_out_edges() if have_lat else None
-    lat_dint = (
-        pl.delay_bins(net.lat_d, net.cfg.plasticity, pl.LATERAL_DELAY_FLOOR) if have_lat else None
-    )
-    ring = DelayBuffer(n, net.cfg.plasticity.d_max)
+    by_src = np.argsort(net.lat_src, kind="stable")
+    src_sorted = net.lat_src[by_src]
+    lat_dint = pl.delay_bins(net.lat_d, par, pl.LATERAL_DELAY_FLOOR)
+    ring = DelayBuffer(n, par.d_max)
     v = np.zeros(n)
     refr = np.full(n, -(1 << 30), dtype=np.int64)
     gate.begin()
@@ -141,23 +137,19 @@ def _decision_sim(net: Network, pooled_t, pooled_unit, t_input: int, gate: Decen
     t = 0
     while t < hard_cap and (t < t_input or t <= f_last or not ring.empty):
         cur = ring.read(t)
-        if t < fwd_len:
+        if t < fcur.shape[0]:
             cur = cur + fcur[t]
         v, open_mask = lif_integrate(v, cur, t, refr, lif)
         cand = np.nonzero(open_mask & (v >= net.theta))[0]
         if cand.size:
-            allowed = gate.filter(cand)
-            fire = cand[allowed]
+            fire = cand[gate.filter(cand)]
             if fire.size:
                 v[fire] = lif.v_reset
                 refr[fire] = t + lif.t_ref
                 ts.extend([t] * fire.size)
-                js.extend(int(j) for j in fire)
-                if have_lat:
-                    for j in fire:
-                        e = out_edges[j]
-                        if e.size:
-                            ring.schedule(net.lat_tgt[e], net.lat_w[e], lat_dint[e], t)
+                js.extend(fire.tolist())
+                e = by_src[np.isin(src_sorted, fire)]
+                ring.schedule(net.lat_tgt[e], net.lat_w[e], lat_dint[e], t)
         t += 1
     active = gate.active_per_group() if gate.enabled else np.zeros(net.n_classes, np.int64)
     return np.asarray(ts, np.int64), np.asarray(js, np.int64), active
@@ -292,7 +284,7 @@ def _decision_pair_deltas(net: Network, pooled_t, pooled_unit, dec_t, dec_j):
     inh = np.concatenate([np.zeros(n_fwd, dtype=bool), _inh_rule_edges(net)])[syn]
     dd = np.empty(syn.size)
     dd[~inh] = pl.unsupervised_delay_delta(t_pre[~inh], t_post[~inh], d[~inh], par)
-    dd[inh] = pl.inhibitory_delay_delta(t_pre[inh], t_post[inh], d[inh], 1.0, par)
+    dd[inh] = pl.inhibitory_delay_delta(t_pre[inh], t_post[inh], d[inh], par)
     dw = np.bincount(syn, pl.stdp_weight_delta(t_pre, t_post, d, par), n_fwd + net.lat_w.size)
     dd = np.bincount(syn, dd, n_fwd + net.lat_d.size)
     return dw[:n_fwd].reshape(net.wf.shape), dd[:n_fwd].reshape(net.df.shape), dw[n_fwd:], dd[n_fwd:]
@@ -606,13 +598,13 @@ def evaluate(
                 correct += 1
         if spike_rows is not None:
             rec = pres.record
-            hc_w = net.conv_hw[1]
-            for t, m, y, x in zip(rec.conv_t, rec.conv_map, rec.conv_y, rec.conv_x):
-                spike_rows.append((i, "conv", int((m * net.conv_hw[0] + y) * hc_w + x), int(t)))
-            for t, u in zip(rec.pooled_t, rec.pooled_unit):
-                spike_rows.append((i, "pooled", int(u), int(t)))
-            for t, j in zip(rec.decision_t, rec.decision_neuron):
-                spike_rows.append((i, "decision", int(j), int(t)))
+            conv = np.ravel_multi_index((rec.conv_map, rec.conv_y, rec.conv_x), (net.n_maps,) + net.conv_hw)
+            for layer, neuron, t in (
+                ("conv", conv, rec.conv_t),
+                ("pooled", rec.pooled_unit, rec.pooled_t),
+                ("decision", rec.decision_neuron, rec.decision_t),
+            ):
+                spike_rows.extend((i, layer, j, tj) for j, tj in zip(neuron.tolist(), t.tolist()))
     return EvalResult(
         accuracy=correct / len(samples),
         n=len(samples),

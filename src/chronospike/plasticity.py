@@ -14,9 +14,9 @@ synapse of delay d are
 
 :func:`nearest_pairs` gives them for many synapses in one call.
 
-All rules are pure functions of a single (pre, post) spike pair on one
-synapse. The timing argument is always the emission-time difference
-corrected by the synapse's current delay,
+Each rule is a pure function of (pre, post) spike pairs on one synapse,
+``(t_pre, t_post, d, p)``. The timing argument is the emission-time
+difference corrected by the synapse's current delay,
 
     dt = t_post - t_pre - d
 
@@ -24,25 +24,28 @@ with the excitatory delay rule additionally subtracting the target lead
 ``epsilon``. Positive dt means the delayed presynaptic arrival preceded the
 postsynaptic spike (causal); negative dt means it came too late.
 
-Rule summary, for reward r in [-1, 1] (r is fixed to 1 for the unsupervised
-variants used in layer 1):
+The package holds three unit-reward kernels:
 
-* weight, excitatory:    dw = +a_plus  * exp(-dt/tau_plus)   for dt >= 0
+* weight:                dw = +a_plus  * exp(-dt/tau_plus)   for dt >= 0
                          dw = -a_minus * exp(+dt/tau_minus)  for dt <  0
-  (scaled by r in the decision layer)
-* weight, inhibitory:    same closed form, applied to the signed negative
-  weight; under reward a causal pair pushes the weight toward 0, weakening
-  inhibition, and punishment strengthens it.
+  one closed form for both synapse signs. On an inhibitory synapse the
+  delta is added to the signed negative weight, so a causal pair pushes it
+  toward 0, weakening inhibition.
 * delay, excitatory:     dd = +b_plus  * exp(-dt'/sigma_plus)   for dt' >= 0
                          dd = -b_minus * exp(+dt'/sigma_minus)  for dt' <  0
-  with dt' = dt - epsilon, scaled by r. The fixed point is dt' = 0, i.e.
+  with dt' = dt - epsilon. The fixed point is dt' = 0, i.e.
   d -> (t_post - t_pre) - epsilon: the delay grows while the arrival leads
   by more than epsilon and shrinks once it arrives too late, so repeated
   application aligns arrivals to epsilon before the postsynaptic spike.
 * delay, inhibitory:     dd = +b_minus * exp(-dt/sigma_minus)  for dt >= 0
                          dd = -b_plus  * exp(+dt/sigma_plus)   for dt <  0
-  scaled by r; under reward a causally paired inhibitory synapse gets a
-  longer delay, decoupling it, while punishment re-engages it.
+  a causally paired inhibitory synapse gets a longer delay, decoupling it.
+
+Layer 1 applies the weight and excitatory delay kernels as they are. The
+decision layer learns by reward r in [-1, 1]: every rule there is a kernel
+scaled by r, so the harness sums the kernels over a presentation's pairs at
+unit reward and scales the sums by r once, when it applies them. Under
+punishment (r < 0) each rule runs backwards.
 
 Deltas are accumulated per synapse over one presentation and applied once
 at the end, then clamped to the sign-respecting bounds in
@@ -57,10 +60,7 @@ from .config import PlasticityParams
 
 __all__ = [
     "stdp_weight_delta",
-    "reward_stdp_weight_delta",
-    "inhibitory_stdp_weight_delta",
     "unsupervised_delay_delta",
-    "reward_delay_delta",
     "inhibitory_delay_delta",
     "nearest_pairs",
     "clamp_excitatory_weights",
@@ -81,37 +81,15 @@ def _ret(x):
     return float(x) if x.ndim == 0 else x
 
 
-def _weight_kernel(dt, a_plus, a_minus, tau_plus, tau_minus):
-    dt = np.asarray(dt, dtype=float)
-    return np.where(
-        dt >= 0.0,
-        a_plus * np.exp(-dt / tau_plus),
-        -a_minus * np.exp(dt / tau_minus),
-    )
-
-
 def stdp_weight_delta(t_pre, t_post, d, p: PlasticityParams):
-    """Unsupervised weight change for one excitatory pair (layer 1)."""
+    """Weight change of one pair at unit reward, for either synapse sign."""
     dt = np.asarray(t_post, dtype=float) - np.asarray(t_pre, dtype=float) - np.asarray(d, dtype=float)
-    return _ret(_weight_kernel(dt, p.a_plus, p.a_minus, p.tau_plus, p.tau_minus))
-
-
-def reward_stdp_weight_delta(t_pre, t_post, d, r, p: PlasticityParams):
-    """Reward-scaled weight change for an excitatory pair (decision layer)."""
-    return _ret(np.asarray(r, dtype=float) * stdp_weight_delta(t_pre, t_post, d, p))
-
-
-def inhibitory_stdp_weight_delta(t_pre, t_post, d, r, p: PlasticityParams):
-    """Reward-scaled weight change for a pair whose presynaptic neuron is
-    inhibitory.
-
-    The closed form matches the excitatory reward rule; the distinction is
-    the domain it acts on. The delta is added to the stored negative weight
-    and clamped to [w_inh_min, 0], so a rewarded causal pair (positive
-    delta) moves the weight toward zero, weakening the inhibition.
-    """
-    dt = np.asarray(t_post, dtype=float) - np.asarray(t_pre, dtype=float) - np.asarray(d, dtype=float)
-    return _ret(np.asarray(r, dtype=float) * _weight_kernel(dt, p.a_plus, p.a_minus, p.tau_plus, p.tau_minus))
+    out = np.where(
+        dt >= 0.0,
+        p.a_plus * np.exp(-dt / p.tau_plus),
+        -p.a_minus * np.exp(dt / p.tau_minus),
+    )
+    return _ret(out)
 
 
 def unsupervised_delay_delta(t_pre, t_post, d, p: PlasticityParams):
@@ -135,20 +113,12 @@ def unsupervised_delay_delta(t_pre, t_post, d, p: PlasticityParams):
     return _ret(out)
 
 
-def reward_delay_delta(t_pre, t_post, d, r, p: PlasticityParams):
-    """Reward-scaled delay change: the unsupervised magnitude with the
-    polarity (and scale) of r. Punishment pushes delays away from the
-    alignment point instead of toward it."""
-    return _ret(np.asarray(r, dtype=float) * unsupervised_delay_delta(t_pre, t_post, d, p))
+def inhibitory_delay_delta(t_pre, t_post, d, p: PlasticityParams):
+    """Delay change for a pair whose presynaptic neuron is inhibitory.
 
-
-def inhibitory_delay_delta(t_pre, t_post, d, r, p: PlasticityParams):
-    """Reward-scaled delay change for a pair whose presynaptic neuron is
-    inhibitory.
-
-    Sign-flipped relative to the excitatory habit: a rewarded causal pair
-    (dt >= 0) lengthens the delay, pushing the inhibitory input out of the
-    window where it could veto the postsynaptic spike; punishment shortens
+    Sign-flipped relative to the excitatory habit: a causal pair (dt >= 0)
+    lengthens the delay, pushing the inhibitory input out of the window
+    where it could veto the postsynaptic spike; an anti-causal pair shortens
     it. No epsilon offset is applied.
     """
     dt = np.asarray(t_post, dtype=float) - np.asarray(t_pre, dtype=float) - np.asarray(d, dtype=float)
@@ -157,7 +127,7 @@ def inhibitory_delay_delta(t_pre, t_post, d, r, p: PlasticityParams):
         p.b_minus * np.exp(-dt / p.sigma_minus),
         -p.b_plus * np.exp(dt / p.sigma_plus),
     )
-    return _ret(np.asarray(r, dtype=float) * out)
+    return _ret(out)
 
 
 def nearest_pairs(pre_t, pre_n, post_t, post_n, syn_pre, syn_post, syn_k):

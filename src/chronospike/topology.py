@@ -19,10 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import plasticity as pl
-from .config import RunConfig, config_hash, model_identity
+from .config import RunConfig, canonical_json, config_hash, model_identity
 
 CHECKPOINT_FORMAT = "chronospike-checkpoint"
 CHECKPOINT_VERSION = 1
+
+#: Training phases a network can be in: the phase it trains next, or ``eval``.
+PHASES = ("layer1", "layer2", "eval")
 
 
 class InvalidConfig(ValueError):
@@ -159,11 +162,6 @@ class Network:
     def n_classes(self) -> int:
         return self.cfg.topology.n_classes
 
-    def lateral_out_edges(self) -> list[np.ndarray]:
-        if not hasattr(self, "_lat_out"):
-            self._lat_out = [np.nonzero(self.lat_src == j)[0] for j in range(self.n_dec)]
-        return self._lat_out
-
 
 def build_network(cfg: RunConfig, input_shape: tuple[int, int, int]) -> Network:
     return Network(cfg, input_shape)
@@ -277,39 +275,62 @@ def save_checkpoint(path: str | Path, net: Network) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Network:
-    from .config import RunConfig
+    """The network a checkpoint file holds.
 
+    Raises :class:`StateError` unless the file holds every field, its
+    ``config_hash`` digests its stored config (as written, before retired
+    fields are dropped), ``phase`` is known, every array has the shape and
+    dtype the config implies, float arrays are finite, and edge, class and
+    decision-window entries index existing neurons and classes."""
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise StateError(f"cannot read checkpoint {path}: {e}")
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise StateError(f"{path}: not a checkpoint file")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise StateError(f"{path}: unsupported checkpoint version {payload.get('version')}")
-    cfg = RunConfig.from_dict(payload["config"])
-    net = Network(cfg, tuple(payload["input_shape"]))
+    missing = [k for k in ("config", "config_hash", "input_shape", "phase", "decision_window", "arrays", "rng")
+               if k not in payload]
+    if missing:
+        raise StateError(f"{path}: missing {', '.join(missing)}")
+    if payload["config_hash"] != hashlib.sha256(canonical_json(payload["config"]).encode()).hexdigest():
+        raise StateError(f"{path}: config_hash does not match the stored config")
+    if payload["phase"] not in PHASES:
+        raise StateError(f"{path}: phase {payload['phase']!r} is not one of {', '.join(PHASES)}")
+    shape = payload["input_shape"]
+    if not (isinstance(shape, list) and len(shape) == 3 and all(type(x) is int and x > 0 for x in shape)):
+        raise StateError(f"{path}: input_shape {shape!r} is not three positive integers")
+    net = Network(RunConfig.from_dict(payload["config"]), tuple(shape))
     arrays = payload["arrays"]
-    for name in _ARRAY_FIELDS + _INT_ARRAY_FIELDS:
-        if name not in arrays:
-            raise StateError(f"{path}: missing array {name}")
-        a = _decode_array(arrays[name])
-        if a.shape != getattr(net, name).shape:
-            raise StateError(
-                f"{path}: array {name} has shape {a.shape}, config implies {getattr(net, name).shape}"
-            )
-        setattr(net, name, a)
-    for name in _BOOL_ARRAY_FIELDS:
-        a = _decode_array(arrays[name]).astype(bool)
-        if a.shape != getattr(net, name).shape:
-            raise StateError(f"{path}: array {name} shape mismatch")
-        setattr(net, name, a)
+    if not isinstance(arrays, dict):
+        raise StateError(f"{path}: arrays is not an object")
+    for names, dtype in ((_ARRAY_FIELDS, "<f8"), (_INT_ARRAY_FIELDS, "<i8"), (_BOOL_ARRAY_FIELDS, "|u1")):
+        for name in names:
+            if name not in arrays:
+                raise StateError(f"{path}: missing array {name}")
+            a = _decode_array(arrays[name])
+            want = getattr(net, name).shape
+            if a.dtype != np.dtype(dtype) or a.shape != want:
+                raise StateError(f"{path}: array {name} is {a.dtype} {a.shape}, config implies {dtype} {want}")
+            if dtype == "<f8" and not np.isfinite(a).all():
+                raise StateError(f"{path}: array {name} holds a value that is not finite")
+            setattr(net, name, a.astype(bool) if dtype == "|u1" else a)
+    for name, bound in (("lat_src", net.n_dec), ("lat_tgt", net.n_dec), ("class_of", net.n_classes)):
+        a = getattr(net, name)
+        if a.size and (a.min() < 0 or a.max() >= bound):
+            raise StateError(f"{path}: array {name} holds an index outside [0, {bound})")
+    window = payload["decision_window"]
+    if not (isinstance(window, list) and all(type(c) is int and 0 <= c < net.n_classes for c in window)):
+        raise StateError(f"{path}: decision_window holds a value that is not a class index")
     net.decision_window.clear()
-    net.decision_window.extend(payload["decision_window"])
+    net.decision_window.extend(window)
     net.phase = payload["phase"]
-    state = payload["rng"]
-    # json turns the uint64 state numbers into ints, which numpy accepts back
-    net.rng.bit_generator.state = state
+    try:
+        # json turns the uint64 state numbers into ints, which numpy accepts back
+        net.rng.bit_generator.state = payload["rng"]
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise StateError(f"{path}: bad rng state: {e!r}")
     return net
 
 
@@ -337,11 +358,7 @@ def export_kernels(net: Network, out_dir: str | Path) -> list[Path]:
         path = out_dir / f"conv_{name}.csv"
         with open(path, "w") as f:
             f.write("map,polarity,ky,kx,value\n")
-            m, p, kh, kw = arr.shape
-            for i in range(m):
-                for q in range(p):
-                    for y in range(kh):
-                        for x in range(kw):
-                            f.write(f"{i},{q},{y},{x},{float(arr[i, q, y, x])!r}\n")
+            for idx in np.ndindex(arr.shape):
+                f.write(f"{','.join(map(str, idx))},{float(arr[idx])!r}\n")
         paths.append(path)
     return paths

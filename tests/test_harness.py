@@ -4,11 +4,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import tiny_cfg
 from test_plasticity import ref_exc_delay, ref_inh_delay, ref_pairs, ref_weight
 
 from chronospike import gen_synthetic
+from chronospike.config import LIFParams, PlasticityParams
+from chronospike.core import DelayBuffer, lif_integrate
 from chronospike.harness import (
     _apply_decision_plasticity,
     _apply_neuron_gain,
@@ -184,6 +189,120 @@ def test_refractory_spacing_in_decision_layer():
     )
     mine = sorted(t for t, j in zip(dec_t.tolist(), dec_j.tolist()) if j == 2)
     assert mine == [0, 6]
+
+
+def loop_decision_sim(net, pooled_t, pooled_unit, t_input, gate):
+    """Reference: the decision layer with a forward-current loop over pooled
+    spikes and a lateral schedule per firing neuron, over its out-edges in
+    edge order."""
+    lif = net.cfg.lif
+    par = net.cfg.plasticity
+    d_max_int = int(round(par.d_max))
+    n = net.n_dec
+    fwd_len = int(t_input) + 2 * (d_max_int + 1) + 2
+    fcur = np.zeros((fwd_len, n))
+    f_last = -1
+    cols = np.arange(n)
+    for t_u, u in zip(pooled_t, pooled_unit):
+        rows = int(t_u) + delay_bins(net.df[:, u], par)
+        fcur[rows, cols] += net.wf[:, u]
+        f_last = max(f_last, int(rows.max()))
+    out_edges = [np.nonzero(net.lat_src == j)[0] for j in range(n)]
+    lat_dint = delay_bins(net.lat_d, par, LATERAL_DELAY_FLOOR)
+    ring = DelayBuffer(n, par.d_max)
+    v = np.zeros(n)
+    refr = np.full(n, -(1 << 30), dtype=np.int64)
+    gate.begin()
+    ts, js = [], []
+    hard_cap = max(int(t_input), f_last + 1) + net.cfg.harness.flush_factor * (d_max_int + 1)
+    t = 0
+    while t < hard_cap and (t < t_input or t <= f_last or not ring.empty):
+        cur = ring.read(t)
+        if t < fwd_len:
+            cur = cur + fcur[t]
+        v, open_mask = lif_integrate(v, cur, t, refr, lif)
+        cand = np.nonzero(open_mask & (v >= net.theta))[0]
+        if cand.size:
+            fire = cand[gate.filter(cand)]
+            if fire.size:
+                v[fire] = lif.v_reset
+                refr[fire] = t + lif.t_ref
+                ts.extend([t] * fire.size)
+                js.extend(int(j) for j in fire)
+                for j in fire:
+                    e = out_edges[j]
+                    if e.size:
+                        ring.schedule(net.lat_tgt[e], net.lat_w[e], lat_dint[e], t)
+        t += 1
+    active = gate.active_per_group() if gate.enabled else np.zeros(net.n_classes, np.int64)
+    return np.asarray(ts, np.int64), np.asarray(js, np.int64), active
+
+
+#: Weights whose sums depend on the order of the terms: 1 + 2**-53 rounds
+#: back to 1, while 2**-53 + 2**-53 + 1 reaches the threshold 1 + 2**-52.
+ORDERED_WEIGHTS = (1.0, 2.0**-53, -1.0)
+THRESHOLDS = (1.0, 1.0 + 2.0**-52)
+
+
+def order_net(tau_m=0.01, t_ref=3):
+    """Four decision neurons in two classes, with no lateral edges yet.
+    With ``tau_m`` tiny a neuron's potential is its input of the bin, so an
+    addition order that differs from the reference's can flip a spike."""
+    top = dataclasses.replace(tiny_cfg().topology, n_classes=2, n_per_class=2, p_lat=0.0)
+    cfg = tiny_cfg(lif=LIFParams(tau_m=tau_m, t_ref=t_ref), topology=top, plasticity=PlasticityParams(d_max=3.0))
+    return build_network(cfg, (2, 6, 6))
+
+
+def assert_matches_loop(net, pooled_t, pooled_unit, gate_on):
+    got, want = (
+        sim(net, pooled_t, pooled_unit, 12, DecentralizeGate(net.class_of, 1, gate_on))
+        for sim in (_decision_sim, loop_decision_sim)
+    )
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    return got
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_decision_sim_matches_loop_reference(data):
+    """Bit for bit, on nets with shuffled and repeated lateral edges, with
+    the gate on and off."""
+    draw = data.draw
+    net = order_net(draw(st.sampled_from([0.01, 3.0])), draw(st.integers(0, 3)))
+    n, n_pool, m = net.n_dec, net.n_pool, draw(st.integers(0, 60))
+    net.wf = draw(hnp.arrays(float, (n, n_pool), elements=st.sampled_from((0.0,) + ORDERED_WEIGHTS)))
+    net.df = draw(hnp.arrays(float, (n, n_pool), elements=st.floats(0.0, 3.0)))
+    net.lat_src = draw(hnp.arrays(np.int64, m, elements=st.integers(0, n - 1)))
+    net.lat_tgt = draw(hnp.arrays(np.int64, m, elements=st.integers(0, n - 1)))
+    net.lat_w = draw(hnp.arrays(float, m, elements=st.sampled_from(ORDERED_WEIGHTS)))
+    net.lat_d = draw(hnp.arrays(float, m, elements=st.floats(1.0, 3.0)))
+    net.theta = draw(hnp.arrays(float, n, elements=st.sampled_from(THRESHOLDS)))
+    k = draw(st.integers(0, 12))
+    pooled_t = draw(hnp.arrays(np.int64, k, elements=st.integers(0, 11)))
+    pooled_unit = draw(hnp.arrays(np.int64, k, elements=st.integers(0, n_pool - 1)))
+    assert_matches_loop(net, pooled_t, pooled_unit, draw(st.booleans()))
+
+
+def test_decision_sim_adds_in_reference_order():
+    # Neurons 0 and 1 fire at bin 0. Each sends 1.0 and then eleven 2**-53
+    # to one target, the edges of the two sources interleaved; twelve pooled
+    # spikes send the same terms to neuron 2 at bin 2. In edge order and in
+    # pooled-spike order the small terms round away, so no target fires.
+    net = order_net()
+    terms = [1.0] + [2.0**-53] * 11
+    net.wf[:] = 0.0
+    net.df[:] = 0.0
+    net.wf[:2, 0] = 2.0
+    net.wf[2, 1:13] = terms
+    net.df[2, 1:13] = 2.0
+    net.theta[:] = THRESHOLDS[1]
+    net.lat_src = np.tile([1, 0], 12)
+    net.lat_tgt = np.tile([3, 2], 12)
+    net.lat_w = np.repeat(terms, 2)
+    net.lat_d = np.ones(24)
+    dec_t, dec_j, _ = assert_matches_loop(net, np.zeros(13, np.int64), np.arange(13), False)
+    assert dec_t.tolist() == [0, 0] and dec_j.tolist() == [0, 1]
 
 
 # -- presentation purity --------------------------------------------------------

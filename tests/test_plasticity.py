@@ -48,6 +48,24 @@ def ref_inh_delay(dt, p):
     return -p.b_plus * math.exp(dt / p.sigma_plus)
 
 
+# -- reward-scaled rules ------------------------------------------------------
+#
+# The decision layer scales every unit-reward kernel by the reward r, once,
+# when the harness applies a presentation's sums. These are those rules on
+# single pairs, as references for the reward properties.
+
+
+def reward_stdp_weight_delta(t_pre, t_post, d, r, p):
+    """Reward-scaled weight change of one pair, excitatory or inhibitory."""
+    return r * pl.stdp_weight_delta(t_pre, t_post, d, p)
+
+
+def reward_delay_delta(t_pre, t_post, d, r, p):
+    """Reward-scaled excitatory delay change: punishment pushes delays away
+    from the alignment point instead of toward it."""
+    return r * pl.unsupervised_delay_delta(t_pre, t_post, d, p)
+
+
 # -- frozen values ------------------------------------------------------------
 
 
@@ -72,11 +90,11 @@ def test_stdp_simultaneous_is_potentiation():
 def test_reward_scaling_frozen():
     p = PlasticityParams(a_plus=0.1, tau_plus=5.0)
     # r=0.5, dt=1: 0.5 * 0.1 * exp(-0.2)
-    assert pl.reward_stdp_weight_delta(0, 1, 0.0, 0.5, p) == pytest.approx(
+    assert reward_stdp_weight_delta(0, 1, 0.0, 0.5, p) == pytest.approx(
         0.0409365376538991, abs=0, rel=1e-15
     )
-    assert pl.reward_stdp_weight_delta(0, 1, 0.0, 0.0, p) == 0.0
-    assert pl.reward_stdp_weight_delta(0, 1, 0.0, -1.0, p) == pytest.approx(
+    assert reward_stdp_weight_delta(0, 1, 0.0, 0.0, p) == 0.0
+    assert reward_stdp_weight_delta(0, 1, 0.0, -1.0, p) == pytest.approx(
         -0.0818730753077982, abs=0, rel=1e-15
     )
 
@@ -113,12 +131,12 @@ def test_exc_delay_kernel_direction_pins():
 def test_inh_delay_causal_lengthens():
     # dt = 0, b_minus scales the causal branch, no epsilon offset
     p = PlasticityParams(b_plus=0.1, b_minus=0.2, sigma_plus=5.0, sigma_minus=5.0, epsilon=1.0)
-    assert pl.inhibitory_delay_delta(0, 0, 0.0, 1.0, p) == pytest.approx(0.2, abs=0)
+    assert pl.inhibitory_delay_delta(0, 0, 0.0, p) == pytest.approx(0.2, abs=0)
 
 
 def test_inh_delay_anticausal_frozen():
-    # dt = -2: -r*b_plus*exp(-0.4)
-    assert pl.inhibitory_delay_delta(2, 0, 0.0, 1.0, P) == pytest.approx(
+    # dt = -2: -b_plus*exp(-0.4)
+    assert pl.inhibitory_delay_delta(2, 0, 0.0, P) == pytest.approx(
         -0.06703200460356394, abs=0, rel=1e-15
     )
 
@@ -126,16 +144,7 @@ def test_inh_delay_anticausal_frozen():
 def test_inh_delay_ignores_epsilon():
     p_eps = PlasticityParams(epsilon=5.0)
     p_no = PlasticityParams(epsilon=0.0)
-    assert pl.inhibitory_delay_delta(0, 3, 1.0, 1.0, p_eps) == pl.inhibitory_delay_delta(
-        0, 3, 1.0, 1.0, p_no
-    )
-
-
-def test_inhibitory_weight_rule_same_form_as_excitatory():
-    for dt_args in [(0, 4, 2.0), (3, 0, 0.0), (0, 0, 0.0)]:
-        assert pl.inhibitory_stdp_weight_delta(*dt_args, 0.7, P) == pytest.approx(
-            pl.reward_stdp_weight_delta(*dt_args, 0.7, P), abs=0
-        )
+    assert pl.inhibitory_delay_delta(0, 3, 1.0, p_eps) == pl.inhibitory_delay_delta(0, 3, 1.0, p_no)
 
 
 # -- reference-evaluator cross-check over a grid ------------------------------
@@ -158,7 +167,7 @@ def test_kernels_match_reference_grid():
         assert got_w == pytest.approx(ref_weight(dt, params), rel=1e-12, abs=0)
         got_d = pl.unsupervised_delay_delta(0.0, dt, 0.0, params)
         assert got_d == pytest.approx(ref_exc_delay(dt, params), rel=1e-12, abs=0)
-        got_i = pl.inhibitory_delay_delta(0.0, dt, 0.0, 1.0, params)
+        got_i = pl.inhibitory_delay_delta(0.0, dt, 0.0, params)
         assert got_i == pytest.approx(ref_inh_delay(dt, params), rel=1e-12, abs=0)
 
 
@@ -178,19 +187,19 @@ rewards = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 @given(dt=dt_values, r=rewards)
 def test_reward_rules_odd_in_r(dt, r):
-    plus = pl.reward_stdp_weight_delta(0.0, dt, 0.0, r, P)
-    minus = pl.reward_stdp_weight_delta(0.0, dt, 0.0, -r, P)
+    plus = reward_stdp_weight_delta(0.0, dt, 0.0, r, P)
+    minus = reward_stdp_weight_delta(0.0, dt, 0.0, -r, P)
     assert plus == pytest.approx(-minus, abs=1e-18)
-    dplus = pl.reward_delay_delta(0.0, dt, 0.0, r, P)
-    dminus = pl.reward_delay_delta(0.0, dt, 0.0, -r, P)
+    dplus = reward_delay_delta(0.0, dt, 0.0, r, P)
+    dminus = reward_delay_delta(0.0, dt, 0.0, -r, P)
     assert dplus == pytest.approx(-dminus, abs=1e-18)
 
 
 @given(dt=dt_values, r=rewards)
 def test_magnitudes_bounded_by_amplitudes(dt, r):
-    assert abs(pl.reward_stdp_weight_delta(0.0, dt, 0.0, r, P)) <= max(P.a_plus, P.a_minus) * abs(r) + 1e-18
-    assert abs(pl.reward_delay_delta(0.0, dt, 0.0, r, P)) <= max(P.b_plus, P.b_minus) * abs(r) + 1e-18
-    assert abs(pl.inhibitory_delay_delta(0.0, dt, 0.0, r, P)) <= max(P.b_plus, P.b_minus) * abs(r) + 1e-18
+    assert abs(reward_stdp_weight_delta(0.0, dt, 0.0, r, P)) <= max(P.a_plus, P.a_minus) * abs(r) + 1e-18
+    assert abs(reward_delay_delta(0.0, dt, 0.0, r, P)) <= max(P.b_plus, P.b_minus) * abs(r) + 1e-18
+    assert abs(r * pl.inhibitory_delay_delta(0.0, dt, 0.0, P)) <= max(P.b_plus, P.b_minus) * abs(r) + 1e-18
 
 
 @given(dt=st.floats(min_value=0.0, max_value=40.0, allow_nan=False))
@@ -203,10 +212,10 @@ def test_causal_magnitude_decays_with_lag(dt):
 
 @given(dt=dt_values)
 def test_unsupervised_equals_reward_at_unit(dt):
-    assert pl.unsupervised_delay_delta(0.0, dt, 0.0, P) == pl.reward_delay_delta(
+    assert pl.unsupervised_delay_delta(0.0, dt, 0.0, P) == reward_delay_delta(
         0.0, dt, 0.0, 1.0, P
     )
-    assert pl.stdp_weight_delta(0.0, dt, 0.0, P) == pl.reward_stdp_weight_delta(
+    assert pl.stdp_weight_delta(0.0, dt, 0.0, P) == reward_stdp_weight_delta(
         0.0, dt, 0.0, 1.0, P
     )
 

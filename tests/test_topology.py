@@ -1,6 +1,7 @@
 """Network construction, convolution plumbing, pooling, checkpoints."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from chronospike.config import PlasticityParams, RunConfig, TopologyParams, apply_variant, config_hash
+from chronospike.config import PlasticityParams, RunConfig, TopologyParams, apply_variant, canonical_json, config_hash
 from chronospike.core import DelayBuffer, lif_step
 from chronospike.topology import (
     InvalidConfig,
@@ -366,6 +367,8 @@ def test_checkpoint_with_retired_fields_loads(tmp_path):
     payload["config"]["lif"]["theta_init"] = 1.0
     payload["config"]["harness"].update(checkpoint_every=0, shuffle=True)
     payload["config"]["regulation"]["gate_in_eval"] = True
+    # the hash a writer of that time stored: over the fields it wrote
+    payload["config_hash"] = hashlib.sha256(canonical_json(payload["config"]).encode()).hexdigest()
     old = tmp_path / "old.json"
     old.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     loaded = load_checkpoint(old)
