@@ -49,13 +49,16 @@ DISABLE_CHOICES = tuple(edit["disable"] for edit in VARIANTS.values() if "disabl
 DELAY_MODES = ("learned", "fixed")
 
 #: Fields the config no longer has, as (section, name), with the one value a
-#: stored config may still hold (``None``: any, as nothing read the field).
-#: ``RunConfig.from_dict`` drops them from config files, overrides and checkpoints.
-RETIRED_FIELDS: dict[tuple[str, str], bool | None] = {
+#: stored config may still hold, of that type (``None``: any, as nothing read
+#: the field). ``RunConfig.from_dict`` drops them from config files, overrides
+#: and checkpoints.
+RETIRED_FIELDS: dict[tuple[str, str], bool | int | None] = {
     ("lif", "theta_init"): None,
     ("harness", "checkpoint_every"): None,
     ("harness", "shuffle"): True,
     ("regulation", "gate_in_eval"): True,
+    ("regulation", "threshold_rule_as_printed"): False,
+    ("harness", "flush_factor"): 4,
 }
 
 #: Time constants, as (section, name): the leak and the rule kernels divide
@@ -85,7 +88,6 @@ MINIMA = {
     ("harness", "max_epochs_l1"): 0,
     ("harness", "max_epochs_l2"): 0,
     ("harness", "freeze_window"): 0,
-    ("harness", "flush_factor"): 0,
     ("synthetic", "n_classes"): 1,
     ("synthetic", "pattern_length"): 1,
     ("synthetic", "seed"): 0,
@@ -173,10 +175,6 @@ class RegulationParams:
     and ``lambda_d``. Decision balance is tracked over a sliding window of
     ``decision_window_per_class * n_classes`` decided presentations. At most
     ``dc_upper`` neurons per class group may emit during one presentation.
-
-    ``threshold_rule_as_printed`` flips the threshold step direction to the
-    variant that raises the threshold of under-active neurons, kept only for
-    comparison runs.
     """
 
     r_min: float = 1.0
@@ -191,7 +189,6 @@ class RegulationParams:
     activity_window: int = 20
     long_window: int = 100
     decision_window_per_class: int = 10
-    threshold_rule_as_printed: bool = False
 
 
 @dataclass(frozen=True)
@@ -202,9 +199,8 @@ class HarnessParams:
     [-reward_clip, reward_clip]. A neuron freezes (stops delay updates) when
     the moving average of its mean absolute per-presentation delay change
     stays below ``freeze_scale * d_max`` after at least ``freeze_window``
-    observations. ``flush_factor`` bounds how many extra bins a presentation
-    may run past its input to drain in-flight deliveries. Each epoch presents
-    the samples in an order drawn from the network's RNG.
+    observations. Each epoch presents the samples in an order drawn from the
+    network's RNG.
     """
 
     kappa: float = 0.05
@@ -213,7 +209,6 @@ class HarnessParams:
     max_epochs_l2: int = 30
     freeze_scale: float = 1e-3
     freeze_window: int = 50
-    flush_factor: int = 4
 
 
 @dataclass(frozen=True)
@@ -301,14 +296,6 @@ class RunConfig:
         """The config ``data`` describes, without :data:`RETIRED_FIELDS`; ``data`` is not modified."""
         _check_keys(cls, data)
         kw = dict(data)
-        for (section, name), kept in RETIRED_FIELDS.items():
-            node = kw.get(section)
-            if isinstance(node, dict) and name in node:
-                if kept is not None and node[name] is not kept:
-                    raise ConfigError(
-                        f"{section}.{name} is retired: only {json.dumps(kept)} is supported, got {node[name]!r}"
-                    )
-                kw[section] = {k: v for k, v in node.items() if k != name}
         sections = {
             "lif": (LIFParams, ()),
             "topology": (TopologyParams, ("kernel", "pool", "w_conv_init", "w_forward_init", "w_lateral_init")),
@@ -316,13 +303,26 @@ class RunConfig:
             "regulation": (RegulationParams, ()),
             "harness": (HarnessParams, ()),
         }
+        for name in (*sections, "synthetic"):
+            if name in kw and not isinstance(kw[name], dict) and not (name == "synthetic" and kw[name] is None):
+                raise ConfigError(f"{name} must be an object, got {kw[name]!r}")
+        disabled = kw.get("disabled", ())
+        if not isinstance(disabled, (list, tuple)) or not all(isinstance(x, str) for x in disabled):
+            raise ConfigError(f"disabled must be a list of mechanism names, got {disabled!r}")
+        for (section, name), kept in RETIRED_FIELDS.items():
+            node = kw.get(section, {})
+            if name in node:
+                if kept is not None and (type(node[name]) is not type(kept) or node[name] != kept):
+                    raise ConfigError(
+                        f"{section}.{name} is retired: only {json.dumps(kept)} is supported, got {node[name]!r}"
+                    )
+                kw[section] = {k: v for k, v in node.items() if k != name}
         for name, (section_cls, tuple_fields) in sections.items():
-            if name in kw and isinstance(kw[name], dict):
+            if name in kw:
                 kw[name] = _plain_from_dict(section_cls, kw[name], tuple_fields)
-        if kw.get("synthetic") is not None and isinstance(kw["synthetic"], dict):
+        if kw.get("synthetic") is not None:
             kw["synthetic"] = SyntheticSpec.from_dict(kw["synthetic"])
-        if "disabled" in kw and kw["disabled"] is not None:
-            kw["disabled"] = tuple(kw["disabled"])
+        kw["disabled"] = tuple(disabled)
         return cls(**kw)
 
 

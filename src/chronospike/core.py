@@ -2,9 +2,9 @@
 
 The simulation advances in steps of one input frame bin. Delays are stored
 as floats for learning but quantized to integer bins (nearest) for
-delivery, which a ring buffer of ``d_max + 1`` future slots realizes
-exactly: a spike scheduled with delay d lands d bins after it was emitted,
-never earlier, never later, and never beyond the horizon.
+delivery, which a presentation-length accumulator realizes exactly: a spike
+scheduled with delay d lands d bins after it was emitted, never earlier,
+never later.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ import numpy as np
 from .config import LIFParams
 
 
-class DelayOutOfRange(ValueError):
-    """A delivery was scheduled with a delay outside [0, d_max]."""
+class DelayOutOfRange(RuntimeError):
+    """A delivery was scheduled with a delay outside [0, d_max]: an internal
+    fault, as quantized delays are clamped to that range."""
 
 
 def lif_integrate(v, input_current, t, refractory_until, p: LIFParams):
@@ -50,42 +51,31 @@ def lif_step(v, input_current, t, theta, refractory_until, p: LIFParams):
 
 
 class DelayBuffer:
-    """Ring of per-future-bin input accumulators for one neuron population.
+    """Per-bin input accumulators of one presentation for one neuron population.
 
-    ``read(t)`` must be called for consecutive bins; it drains and zeroes
-    the slot for bin t. ``schedule`` adds a weight into the slot
-    ``delay`` bins ahead. The horizon is ``d_max + 1`` slots, so a slot is
-    always consumed before the writer can wrap back onto it.
+    One ``[n_bins, n_targets]`` array that never wraps: ``schedule`` adds
+    each weight at row ``t_emit + delay``, its arguments broadcast and the
+    terms of one cell added in the order given, and ``read(t)`` returns row
+    t. ``last`` is the latest row written so far (-1 before any).
     """
 
-    def __init__(self, n_targets: int, d_max: float):
+    def __init__(self, n_bins: int, n_targets: int, d_max: float):
         self.d_max = int(round(d_max))
-        self.horizon = self.d_max + 1
-        self.ring = np.zeros((self.horizon, n_targets))
-        self.slot_events = np.zeros(self.horizon, dtype=np.int64)
+        self.rows = np.zeros((n_bins, n_targets))
+        self.last = -1
 
-    def schedule(self, targets, weights, delays, t_now: int) -> None:
-        targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-        weights = np.broadcast_to(np.asarray(weights, dtype=float), targets.shape)
-        delays = np.atleast_1d(np.asarray(delays, dtype=np.int64))
-        delays = np.broadcast_to(delays, targets.shape)
+    def schedule(self, targets, weights, delays, t_emit) -> None:
+        targets, weights, delays, t_emit = np.broadcast_arrays(targets, weights, delays, t_emit)
         if delays.size and (delays.min() < 0 or delays.max() > self.d_max):
             bad = int(delays[(delays < 0) | (delays > self.d_max)][0])
             raise DelayOutOfRange(f"delay {bad} outside [0, {self.d_max}]")
-        rows = (t_now + delays) % self.horizon
-        np.add.at(self.ring, (rows, targets), weights)
-        np.add.at(self.slot_events, rows, np.ones_like(rows))
+        rows = t_emit + delays
+        # one flat index runs the fast 1-D path of np.add.at, in the same order
+        np.add.at(self.rows.reshape(-1), (rows * self.rows.shape[1] + targets).ravel(), weights.ravel())
+        self.last = max(self.last, int(rows.max(initial=-1)))
 
     def read(self, t: int) -> np.ndarray:
-        row = t % self.horizon
-        out = self.ring[row].copy()
-        self.ring[row] = 0.0
-        self.slot_events[row] = 0
-        return out
-
-    @property
-    def empty(self) -> bool:
-        return int(self.slot_events.sum()) == 0
+        return self.rows[t]
 
 
 @dataclass

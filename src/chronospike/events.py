@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -256,23 +257,47 @@ def load_dataset(path: str | Path) -> tuple[list[FrameSequence], dict]:
     (hlen,) = struct.unpack_from("<I", data, 5)
     if len(data) < 9 + hlen:
         raise DatasetFormatError(f"{path}: truncated header")
-    header = json.loads(data[9 : 9 + hlen].decode())
-    p, h, w = header["p"], header["h"], header["w"]
+    try:
+        header = json.loads(data[9 : 9 + hlen].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise DatasetFormatError(f"{path}: header is not UTF-8 JSON: {e}")
+    if not isinstance(header, dict):
+        raise DatasetFormatError(f"{path}: header is not a JSON object")
+    p, h, w = (_header_int(path, header, key, key, least=1) for key in ("p", "h", "w"))
+    bin_width = header.get("bin_width_ms")
+    if isinstance(bin_width, bool) or not isinstance(bin_width, (int, float)) or not 0 < bin_width < math.inf:
+        raise DatasetFormatError(
+            f"{path}: header field bin_width_ms must be a finite positive number, got {bin_width!r}"
+        )
+    if not isinstance(header.get("samples"), list):
+        raise DatasetFormatError(f"{path}: header field samples must be a list")
     offset = 9 + hlen
     samples = []
-    for rec in header["samples"]:
-        t = rec["t"]
+    for i, rec in enumerate(header["samples"]):
+        t = _header_int(path, rec, "t", f"samples[{i}].t", least=1)
+        label = _header_int(path, rec, "label", f"samples[{i}].label")
+        subject = _header_int(path, rec, "subject", f"samples[{i}].subject")
         nbits = t * p * h * w
         nbytes = (nbits + 7) // 8
         if len(data) < offset + nbytes:
             raise DatasetFormatError(f"{path}: truncated payload at sample {len(samples)}")
         bits = np.unpackbits(np.frombuffer(data, np.uint8, count=nbytes, offset=offset))[:nbits]
         frames = bits.reshape(t, p, h, w).astype(np.uint8)
-        samples.append(
-            FrameSequence(frames, header["bin_width_ms"], label=rec["label"], subject_id=rec["subject"])
-        )
+        samples.append(FrameSequence(frames, bin_width, label=label, subject_id=subject))
         offset += nbytes
+    if offset != len(data):
+        raise DatasetFormatError(f"{path}: {len(data) - offset} trailing bytes after the last sample")
     return samples, header
+
+
+def _header_int(path, node, key: str, field: str, least: int | None = None) -> int:
+    """``node[key]`` if ``node`` is a JSON object holding an int there, at
+    least ``least``; otherwise a :class:`DatasetFormatError` naming ``field``."""
+    v = node.get(key) if isinstance(node, dict) else None
+    if isinstance(v, bool) or not isinstance(v, int) or (least is not None and v < least):
+        kind = "an int" if least is None else f"an int of at least {least}"
+        raise DatasetFormatError(f"{path}: header field {field} must be {kind}, got {v!r}")
+    return v
 
 
 def read_gesture_dir(root: str | Path, fps: float, max_frames: int) -> list[FrameSequence]:

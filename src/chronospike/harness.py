@@ -35,6 +35,10 @@ from .regulation import (
 )
 from .topology import Network, build_network, conv_forward_currents, layer1_hash, pool_earliest
 
+#: A presentation runs at most this many spans of d_max + 1 bins past its
+#: input and its last forward arrival, draining in-flight lateral deliveries.
+FLUSH_FACTOR = 4
+
 
 @dataclass
 class PresentationResult:
@@ -107,39 +111,33 @@ def _pooled_spikes(net: Network, conv_first: np.ndarray):
 
 
 def _decision_sim(net: Network, pooled_t, pooled_unit, t_input: int, gate: DecentralizeGate):
-    """Step the decision layer bin by bin.
-
-    Forward deliveries are precomputed (the pooled layer gets no feedback),
-    each cell summing its terms in pooled-spike order; lateral deliveries go
-    through a ring buffer since they do recur, scheduled by source neuron,
-    then edge index. The loop drains all in-flight input after the stimulus
-    ends, with a hard cap so self-sustaining lateral loops cannot run forever.
-    """
+    """Step the decision layer bin by bin, forward and lateral spikes each
+    landing exactly d bins later through a :class:`DelayBuffer`: the forward
+    terms all up front, in pooled-spike order, and a firing bin's lateral
+    edges by source neuron, then edge index. The loop drains all in-flight
+    input after the stimulus ends, with a hard cap so self-sustaining
+    lateral loops cannot run forever."""
     lif = net.cfg.lif
     par = net.cfg.plasticity
-    d_max_int = int(round(par.d_max))
     n = net.n_dec
-    fcur = np.zeros((int(t_input) + 2 * (d_max_int + 1) + 2, n))
-    rows = pooled_t[:, None] + pl.delay_bins(net.df[:, pooled_unit], par).T
-    np.add.at(fcur, (rows, np.arange(n)), net.wf[:, pooled_unit].T)
-    f_last = int(rows.max(initial=-1))
-
+    span = int(round(par.d_max)) + 1
+    # forward arrivals land by pooled_t.max() + d_max, so this holds hard_cap + d_max + 1 rows
+    n_bins = max(int(t_input), int(pooled_t.max(initial=-1)) + span) + (FLUSH_FACTOR + 1) * span
+    fwd, lat = DelayBuffer(n_bins, n, par.d_max), DelayBuffer(n_bins, n, par.d_max)
+    dint = pl.delay_bins(net.df[:, pooled_unit], par)
+    fwd.schedule(np.arange(n), net.wf[:, pooled_unit].T, dint.T, pooled_t[:, None])
     by_src = np.argsort(net.lat_src, kind="stable")
     src_sorted = net.lat_src[by_src]
     lat_dint = pl.delay_bins(net.lat_d, par, pl.LATERAL_DELAY_FLOOR)
-    ring = DelayBuffer(n, par.d_max)
     v = np.zeros(n)
     refr = np.full(n, -(1 << 30), dtype=np.int64)
     gate.begin()
     ts: list[int] = []
     js: list[int] = []
-    hard_cap = max(int(t_input), f_last + 1) + net.cfg.harness.flush_factor * (d_max_int + 1)
+    hard_cap = max(int(t_input), fwd.last + 1) + FLUSH_FACTOR * span
     t = 0
-    while t < hard_cap and (t < t_input or t <= f_last or not ring.empty):
-        cur = ring.read(t)
-        if t < fcur.shape[0]:
-            cur = cur + fcur[t]
-        v, open_mask = lif_integrate(v, cur, t, refr, lif)
+    while t < hard_cap and (t < t_input or t <= max(fwd.last, lat.last)):
+        v, open_mask = lif_integrate(v, lat.read(t) + fwd.read(t), t, refr, lif)
         cand = np.nonzero(open_mask & (v >= net.theta))[0]
         if cand.size:
             fire = cand[gate.filter(cand)]
@@ -149,7 +147,7 @@ def _decision_sim(net: Network, pooled_t, pooled_unit, t_input: int, gate: Decen
                 ts.extend([t] * fire.size)
                 js.extend(fire.tolist())
                 e = by_src[np.isin(src_sorted, fire)]
-                ring.schedule(net.lat_tgt[e], net.lat_w[e], lat_dint[e], t)
+                lat.schedule(net.lat_tgt[e], net.lat_w[e], lat_dint[e], t)
         t += 1
     active = gate.active_per_group() if gate.enabled else np.zeros(net.n_classes, np.int64)
     return np.asarray(ts, np.int64), np.asarray(js, np.int64), active

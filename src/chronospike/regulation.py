@@ -52,20 +52,12 @@ def threshold_step(r_obs_long, params: RegulationParams):
 
     Under-activity lowers the threshold by ``theta_dec`` and over-activity
     raises it by ``theta_inc``, nudging the neuron back into its target
-    band. Exactly zero inside the band. With ``threshold_rule_as_printed``
-    the directions flip (under-activity raises the threshold); that variant
-    is positive feedback and exists only for comparison runs.
+    band. Exactly zero inside the band.
     """
     r = np.asarray(r_obs_long, dtype=float)
     d_theta = np.zeros_like(r)
-    over = r > params.r_max
-    under = r < params.r_min
-    if params.threshold_rule_as_printed:
-        d_theta[under] = params.theta_inc
-        d_theta[over] = -params.theta_dec
-    else:
-        d_theta[under] = -params.theta_dec
-        d_theta[over] = params.theta_inc
+    d_theta[r < params.r_min] = -params.theta_dec
+    d_theta[r > params.r_max] = params.theta_inc
     return d_theta
 
 

@@ -3,6 +3,7 @@
 import base64
 import dataclasses
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from conftest import tiny_cfg
 
 from chronospike.cli import REFERENCE_DELTAS_PP, main
 from chronospike.config import VARIANTS, config_hash, load_config, save_config, to_dict
+from chronospike.core import DelayBuffer, DelayOutOfRange
 from chronospike.events import load_dataset
 from chronospike.harness import run_presentation, train
 from chronospike.topology import load_checkpoint, save_checkpoint
@@ -283,6 +285,18 @@ def test_train_rejects_retired_switch_turned_off(ws, tmp_path, capsys, section, 
     assert not (tmp_path / "out").exists()
 
 
+def test_internal_delay_fault_is_not_an_input_error(ws, tmp_path, monkeypatch):
+    """A delay outside [0, d_max] can only come from a bug, so it must not
+    be reported as bad input (exit 2)."""
+
+    def out_of_range(self, *args):
+        raise DelayOutOfRange("delay 99 outside [0, 8]")
+
+    monkeypatch.setattr(DelayBuffer, "schedule", out_of_range)
+    with pytest.raises(DelayOutOfRange):
+        main(["train", "--config", str(ws["cfg_path"]), "--out", str(tmp_path / "out"), "--max-epochs", "1"])
+
+
 def test_train_missing_config_file(tmp_path):
     rc = main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 2
@@ -429,6 +443,49 @@ def test_eval_missing_dataset(ws, tmp_path):
     assert rc == 2
 
 
+def _with_header(blob: bytes, edit=None, raw: bytes | None = None, tail: bytes = b"") -> bytes:
+    """Dataset file ``blob`` with its JSON header changed by ``edit`` (or
+    replaced by the bytes ``raw``) and ``tail`` appended."""
+    (hlen,) = struct.unpack_from("<I", blob, 5)
+    header = json.loads(blob[9 : 9 + hlen])
+    if edit is not None:
+        edit(header)
+    new = raw if raw is not None else json.dumps(header).encode()
+    return blob[:5] + struct.pack("<I", len(new)) + new + blob[9 + hlen :] + tail
+
+
+HOSTILE_DATASETS = {
+    "no p": ("p", lambda h: h.pop("p"), None, b""),
+    "p -1": ("p", lambda h: h.update(p=-1), None, b""),
+    "h 0": ("h", lambda h: h.update(h=0), None, b""),
+    "w 6.0": ("w", lambda h: h.update(w=6.0), None, b""),
+    "t 0": ("samples[0].t", lambda h: h["samples"][0].update(t=0), None, b""),
+    "t true": ("samples[1].t", lambda h: h["samples"][1].update(t=True), None, b""),
+    "label x": ("samples[0].label", lambda h: h["samples"][0].update(label="x"), None, b""),
+    "subject 1.5": ("samples[2].subject", lambda h: h["samples"][2].update(subject=1.5), None, b""),
+    "no subject": ("samples[0].subject", lambda h: h["samples"][0].pop("subject"), None, b""),
+    "bin width NaN": ("bin_width_ms", lambda h: h.update(bin_width_ms=float("nan")), None, b""),
+    "bin width 0": ("bin_width_ms", lambda h: h.update(bin_width_ms=0), None, b""),
+    "samples null": ("samples", lambda h: h.update(samples=None), None, b""),
+    "header a list": ("JSON object", None, b"[1, 2]", b""),
+    "header not UTF-8": ("UTF-8", None, b'{"p": "\xff"}', b""),
+    "trailing bytes": ("trailing", None, None, b"\x00"),
+}
+
+
+@pytest.mark.parametrize("probe", list(HOSTILE_DATASETS))
+def test_eval_rejects_hostile_dataset(ws, tmp_path, capsys, probe):
+    field, edit, raw, tail = HOSTILE_DATASETS[probe]
+    bad = tmp_path / "bad.cspk"
+    bad.write_bytes(_with_header(ws["test_ds"].read_bytes(), edit, raw, tail))
+    rc = main(["eval", "--checkpoint", str(ws["out1"] / "checkpoint_final.json"), "--data", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and field in lines[0]
+
+
 def test_eval_dump_spikes_csv(ws, tmp_path, capsys):
     csv_path = tmp_path / "spikes.csv"
     rc = main(
@@ -566,6 +623,7 @@ def test_ablate_rejects_non_finite_fixed_delay(ws, tmp_path, capsys, value):
     [
         "plasticity.d_max=NaN", "lif.tau_m=0", "plasticity.tau_plus=NaN", "plasticity.sigma_minus=-1",
         'harness.max_epochs_l1="x"', "topology.n_maps=0", "lif.t_ref=-5", "plasticity.d_max=-3",
+        "lif=5", "synthetic=5", 'disabled="homeo"',
     ],
 )
 def test_train_rejects_bad_numbers(ws, tmp_path, capsys, override):

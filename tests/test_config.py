@@ -24,8 +24,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "chronospike"
 #: The retired fields at the values every config held while they existed.
 OLD_DEFAULTS = {
     "lif": {"theta_init": 1.0},
-    "harness": {"checkpoint_every": 0, "shuffle": True},
-    "regulation": {"gate_in_eval": True},
+    "harness": {"checkpoint_every": 0, "shuffle": True, "flush_factor": 4},
+    "regulation": {"gate_in_eval": True, "threshold_rule_as_printed": False},
 }
 
 
@@ -56,17 +56,55 @@ def test_retired_fields_at_old_defaults_are_dropped(tmp_path):
     assert json.dumps(data, sort_keys=True) == stored
 
 
-@pytest.mark.parametrize("field", ["harness.shuffle", "regulation.gate_in_eval"])
-def test_retired_switch_off_is_rejected(field):
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("harness.shuffle", False, id="harness.shuffle"),
+        pytest.param("regulation.gate_in_eval", False, id="regulation.gate_in_eval"),
+        pytest.param("regulation.threshold_rule_as_printed", True, id="regulation.threshold_rule_as_printed"),
+        pytest.param("regulation.threshold_rule_as_printed", 0, id="regulation.threshold_rule_as_printed=0"),
+        pytest.param("harness.flush_factor", 8, id="harness.flush_factor=8"),
+        pytest.param("harness.flush_factor", 4.0, id="harness.flush_factor=4.0"),
+        pytest.param("harness.flush_factor", False, id="harness.flush_factor=false"),
+    ],
+)
+def test_retired_switch_off_is_rejected(field, value):
+    """A retired field at any value but the one it kept, or of another type
+    (``0 == False`` and ``4.0 == 4`` in Python), names the field."""
     with pytest.raises(ConfigError, match=re.escape(field)):
-        RunConfig.from_dict(with_old_fields(to_dict(tiny_cfg()), **{field: False}))
+        RunConfig.from_dict(with_old_fields(to_dict(tiny_cfg()), **{field: value}))
 
 
 def test_overrides_reach_the_migration():
     cfg = tiny_cfg()
-    assert apply_overrides(cfg, ["harness.shuffle=true", "lif.theta_init=3.5"]) == cfg
-    with pytest.raises(ConfigError, match="harness.shuffle"):
-        apply_overrides(cfg, ["harness.shuffle=false"])
+    kept = [
+        "harness.shuffle=true", "lif.theta_init=3.5", "harness.flush_factor=4",
+        "regulation.threshold_rule_as_printed=false",
+    ]
+    assert apply_overrides(cfg, kept) == cfg
+    for bad in ("harness.shuffle=false", "harness.flush_factor=5", "regulation.threshold_rule_as_printed=true"):
+        with pytest.raises(ConfigError, match=re.escape(bad.split("=")[0])):
+            apply_overrides(cfg, [bad])
+
+
+@pytest.mark.parametrize(
+    "section, value",
+    [("lif", 5), ("topology", "x"), ("plasticity", [1.0]), ("regulation", None), ("harness", True),
+     ("synthetic", 5), ("synthetic", [])],
+)
+def test_sections_must_be_objects(section, value):
+    data = to_dict(tiny_cfg())
+    data[section] = value
+    with pytest.raises(ConfigError, match=f"{section} must be an object"):
+        RunConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("value", [5, "homeo", None, {"homeo": 1}, ["homeo", 2]])
+def test_disabled_must_be_a_list_of_names(value):
+    data = {**to_dict(tiny_cfg()), "disabled": value}
+    with pytest.raises(ConfigError, match="disabled must be a list of mechanism names"):
+        RunConfig.from_dict(data)
+    assert RunConfig.from_dict({**data, "disabled": ["homeo"]}).disabled == ("homeo",)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), "1.0"])

@@ -75,51 +75,38 @@ def test_spike_at_exact_threshold():
 
 
 def test_delivery_lands_exactly_delay_bins_later():
-    buf = DelayBuffer(3, 5)
-    buf.schedule(np.array([1]), np.array([0.7]), np.array([3]), t_now=2)
-    for t in range(2, 5):
+    buf = DelayBuffer(10, 3, 5)
+    assert buf.last == -1
+    buf.schedule(np.array([1]), np.array([0.7]), np.array([3]), t_emit=2)
+    for t in range(0, 5):
         assert buf.read(t).tolist() == [0.0, 0.0, 0.0]
     assert buf.read(5).tolist() == [0.0, 0.7, 0.0]
-    assert buf.empty
+    assert buf.last == 5
 
 
 def test_zero_delay_delivers_same_bin():
-    buf = DelayBuffer(2, 4)
-    buf.schedule(np.array([0]), np.array([1.0]), np.array([0]), t_now=7)
+    buf = DelayBuffer(10, 2, 4)
+    buf.schedule(np.array([0]), np.array([1.0]), np.array([0]), t_emit=7)
     assert buf.read(7).tolist() == [1.0, 0.0]
 
 
 def test_same_slot_accumulates():
-    buf = DelayBuffer(1, 4)
-    buf.schedule(np.array([0, 0]), np.array([0.5, 0.25]), np.array([2, 2]), t_now=0)
+    buf = DelayBuffer(4, 1, 4)
+    buf.schedule(np.array([0, 0]), np.array([0.5, 0.25]), np.array([2, 2]), t_emit=0)
+    buf.schedule(np.array([0]), np.array([0.125]), np.array([1]), t_emit=1)
     assert buf.read(0)[0] == 0.0
     assert buf.read(1)[0] == 0.0
-    assert buf.read(2)[0] == 0.75
+    assert buf.read(2)[0] == 0.875
 
 
 def test_delay_out_of_range_raises():
-    buf = DelayBuffer(1, 4)
-    with pytest.raises(DelayOutOfRange):
-        buf.schedule(np.array([0]), np.array([1.0]), np.array([5]), t_now=0)
-    with pytest.raises(DelayOutOfRange):
-        buf.schedule(np.array([0]), np.array([1.0]), np.array([-1]), t_now=0)
-
-
-def test_wraparound_reuses_slots_cleanly():
-    buf = DelayBuffer(1, 2)  # horizon 3
-    total_in = 0.0
-    total_out = 0.0
-    for t in range(40):
-        w = 0.1 * (t % 3 + 1)
-        d = t % 3
-        buf.schedule(np.array([0]), np.array([w]), np.array([d]), t_now=t)
-        total_in += w
-        total_out += buf.read(t)[0]
-    # drain what is still in flight
-    for t in range(40, 43):
-        total_out += buf.read(t)[0]
-    assert buf.empty
-    assert total_out == pytest.approx(total_in, rel=1e-12)
+    buf = DelayBuffer(10, 1, 4)
+    for delay in (-1, 5):
+        with pytest.raises(DelayOutOfRange, match=f"delay {delay} outside"):
+            buf.schedule(np.array([0]), np.array([1.0]), np.array([delay]), t_emit=3)
+    assert not buf.rows.any() and buf.last == -1
+    # delays are clamped when quantized, so this is an internal fault, not bad input
+    assert issubclass(DelayOutOfRange, RuntimeError) and not issubclass(DelayOutOfRange, ValueError)
 
 
 @given(
@@ -130,27 +117,27 @@ def test_wraparound_reuses_slots_cleanly():
             st.integers(min_value=0, max_value=4),  # target
         ),
         max_size=60,
-    )
+    ),
+    together=st.booleans(),
 )
 @settings(max_examples=120)
-def test_scheduled_equals_delivered(events):
+def test_scheduled_equals_delivered(events, together):
     """Conservation: every scheduled weight is read exactly once, at
-    emission + delay, when reads proceed bin by bin."""
-    buf = DelayBuffer(5, 6)
-    by_bin: dict[int, np.ndarray] = {}
+    emission + delay, whether the events are scheduled one by one or in one
+    broadcast call; ``last`` is the largest row written."""
+    buf = DelayBuffer(37, 5, 6)
+    expected = np.zeros((37, 5))
     for t_emit, d, tgt in events:
-        by_bin.setdefault(t_emit, []).append((d, tgt))
-    expected = np.zeros((45, 5))
-    for t_emit, items in by_bin.items():
-        for d, tgt in items:
-            expected[t_emit + d, tgt] += 1.0
-    got = np.zeros((45, 5))
-    for t in range(45):
-        for d, tgt in by_bin.get(t, []):
-            buf.schedule(np.array([tgt]), np.array([1.0]), np.array([d]), t_now=t)
-        got[t] = buf.read(t)
-    assert buf.empty
-    np.testing.assert_allclose(got, expected)
+        expected[t_emit + d, tgt] += 1.0
+    if together and events:
+        t_emit, d, tgt = np.array(events).T
+        buf.schedule(tgt, 1.0, d, t_emit)
+    else:
+        for t_emit, d, tgt in events:
+            buf.schedule(np.array([tgt]), np.array([1.0]), np.array([d]), t_emit=t_emit)
+    got = np.array([buf.read(t) for t in range(37)])
+    np.testing.assert_array_equal(got, expected)
+    assert buf.last == max((t + d for t, d, _ in events), default=-1)
 
 
 # -- SpikeRecord -----------------------------------------------------------------

@@ -317,6 +317,33 @@ def test_dataset_bad_magic(tmp_path):
         load_dataset(path)
 
 
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    """A valid two-sample dataset file's bytes, and a directory to write into."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(1)
+    samples = [
+        FrameSequence((rng.random((3, 2, 2, 3)) < 0.5).astype(np.uint8), 30.0, label=k, subject_id=k + 1)
+        for k in range(2)
+    ]
+    save_dataset(root / "valid.cspk", samples)
+    return root, (root / "valid.cspk").read_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_any_single_byte_change_loads_or_is_a_format_error(small_dataset, data):
+    root, blob = small_dataset
+    i = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[i]), label="byte")
+    path = root / "mutated.cspk"
+    path.write_bytes(blob[:i] + bytes([byte]) + blob[i + 1 :])
+    try:
+        load_dataset(path)
+    except DatasetFormatError:
+        pass
+
+
 # -- recording directory -------------------------------------------------------
 
 

@@ -13,12 +13,13 @@ from test_plasticity import ref_exc_delay, ref_inh_delay, ref_pairs, ref_weight
 
 from chronospike import gen_synthetic
 from chronospike.config import LIFParams, PlasticityParams
-from chronospike.core import DelayBuffer, lif_integrate
+from chronospike.core import DelayOutOfRange, lif_integrate
 from chronospike.harness import (
     _apply_decision_plasticity,
     _apply_neuron_gain,
     _conv_pair_deltas,
     _decision_pair_deltas,
+    FLUSH_FACTOR,
     _decision_sim,
     build_pooled_cache,
     compute_reward,
@@ -191,10 +192,65 @@ def test_refractory_spacing_in_decision_layer():
     assert mine == [0, 6]
 
 
+def test_self_sustaining_loop_stops_at_hard_cap():
+    # Neurons 0 and 1 excite each other one bin apart and never rest, so the
+    # pair fires in every bin until the cap: input ends at bin 4 and the last
+    # forward arrival is bin 0, so the cap is 4 + FLUSH_FACTOR * (d_max + 1).
+    net = bare_net(lif=LIFParams(t_ref=0))
+    net.wf[0, 0] = 2.0
+    net.lat_src = np.array([0, 1], np.int64)
+    net.lat_tgt = np.array([1, 0], np.int64)
+    net.lat_w = np.array([2.0, 2.0])
+    net.lat_d = np.array([1.0, 1.0])
+    dec_t, dec_j, _ = _decision_sim(net, np.array([0], np.int64), np.array([0], np.int64), 4, open_gate(net))
+    hard_cap = 4 + FLUSH_FACTOR * (int(net.cfg.plasticity.d_max) + 1)
+    assert dec_t.tolist() == list(range(hard_cap))
+    assert dec_j.tolist() == [t % 2 for t in range(hard_cap)]
+
+
+class RingBuffer:
+    """Ring of per-future-bin input accumulators for one neuron population.
+
+    ``read(t)`` must be called for consecutive bins; it drains and zeroes
+    the slot for bin t. ``schedule`` adds a weight into the slot
+    ``delay`` bins ahead. The horizon is ``d_max + 1`` slots, so a slot is
+    always consumed before the writer can wrap back onto it.
+    """
+
+    def __init__(self, n_targets: int, d_max: float):
+        self.d_max = int(round(d_max))
+        self.horizon = self.d_max + 1
+        self.ring = np.zeros((self.horizon, n_targets))
+        self.slot_events = np.zeros(self.horizon, dtype=np.int64)
+
+    def schedule(self, targets, weights, delays, t_now: int) -> None:
+        targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+        weights = np.broadcast_to(np.asarray(weights, dtype=float), targets.shape)
+        delays = np.atleast_1d(np.asarray(delays, dtype=np.int64))
+        delays = np.broadcast_to(delays, targets.shape)
+        if delays.size and (delays.min() < 0 or delays.max() > self.d_max):
+            bad = int(delays[(delays < 0) | (delays > self.d_max)][0])
+            raise DelayOutOfRange(f"delay {bad} outside [0, {self.d_max}]")
+        rows = (t_now + delays) % self.horizon
+        np.add.at(self.ring, (rows, targets), weights)
+        np.add.at(self.slot_events, rows, np.ones_like(rows))
+
+    def read(self, t: int) -> np.ndarray:
+        row = t % self.horizon
+        out = self.ring[row].copy()
+        self.ring[row] = 0.0
+        self.slot_events[row] = 0
+        return out
+
+    @property
+    def empty(self) -> bool:
+        return int(self.slot_events.sum()) == 0
+
+
 def loop_decision_sim(net, pooled_t, pooled_unit, t_input, gate):
     """Reference: the decision layer with a forward-current loop over pooled
     spikes and a lateral schedule per firing neuron, over its out-edges in
-    edge order."""
+    edge order, through a :class:`RingBuffer` of d_max + 1 future bins."""
     lif = net.cfg.lif
     par = net.cfg.plasticity
     d_max_int = int(round(par.d_max))
@@ -209,12 +265,12 @@ def loop_decision_sim(net, pooled_t, pooled_unit, t_input, gate):
         f_last = max(f_last, int(rows.max()))
     out_edges = [np.nonzero(net.lat_src == j)[0] for j in range(n)]
     lat_dint = delay_bins(net.lat_d, par, LATERAL_DELAY_FLOOR)
-    ring = DelayBuffer(n, par.d_max)
+    ring = RingBuffer(n, par.d_max)
     v = np.zeros(n)
     refr = np.full(n, -(1 << 30), dtype=np.int64)
     gate.begin()
     ts, js = [], []
-    hard_cap = max(int(t_input), f_last + 1) + net.cfg.harness.flush_factor * (d_max_int + 1)
+    hard_cap = max(int(t_input), f_last + 1) + FLUSH_FACTOR * (d_max_int + 1)
     t = 0
     while t < hard_cap and (t < t_input or t <= f_last or not ring.empty):
         cur = ring.read(t)

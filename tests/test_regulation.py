@@ -73,15 +73,6 @@ def test_threshold_step_directions():
     assert step[2] == pytest.approx(0.02)  # over-active: raise it
 
 
-def test_threshold_step_as_printed_flips():
-    reg = RegulationParams(
-        r_min=1.0, r_max=6.0, theta_inc=0.02, theta_dec=0.03, threshold_rule_as_printed=True
-    )
-    step = threshold_step(np.array([0.5, 8.0]), reg)
-    assert step[0] == pytest.approx(0.02)
-    assert step[1] == pytest.approx(-0.03)
-
-
 # -- decision window ---------------------------------------------------------
 
 

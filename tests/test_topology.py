@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from chronospike.config import PlasticityParams, RunConfig, TopologyParams, apply_variant, canonical_json, config_hash
-from chronospike.core import DelayBuffer, lif_step
+from chronospike.core import lif_step
 from chronospike.topology import (
     InvalidConfig,
     Network,
@@ -160,8 +160,8 @@ def test_random_frozen_mode_keeps_draws():
 
 
 def brute_force_currents(net, frames):
-    """Reference: schedule every input spike through a DelayBuffer per
-    conv neuron, delay quantized to nearest bin."""
+    """Reference: add every input spike's weight to each conv neuron it
+    reaches, at its bin plus the delay quantized to the nearest bin."""
     top = net.cfg.topology
     d_max_int = int(round(net.cfg.plasticity.d_max))
     t_in = frames.shape[0]
@@ -365,8 +365,8 @@ def test_checkpoint_with_retired_fields_loads(tmp_path):
     assert "checkpoint_every" not in path.read_text()
     payload = json.loads(path.read_text())
     payload["config"]["lif"]["theta_init"] = 1.0
-    payload["config"]["harness"].update(checkpoint_every=0, shuffle=True)
-    payload["config"]["regulation"]["gate_in_eval"] = True
+    payload["config"]["harness"].update(checkpoint_every=0, shuffle=True, flush_factor=4)
+    payload["config"]["regulation"].update(gate_in_eval=True, threshold_rule_as_printed=False)
     # the hash a writer of that time stored: over the fields it wrote
     payload["config_hash"] = hashlib.sha256(canonical_json(payload["config"]).encode()).hexdigest()
     old = tmp_path / "old.json"
