@@ -8,11 +8,15 @@ accuracy drops. Each variant is trained like ``train`` into its own
 directory ``<out>/<variant>``, which holds the same files as a ``train``
 run.
 
-Exit codes: 0 success, 1 an ``ablate`` variant raised (the other variants
-and the table are still written), 2 input problem (missing or malformed
-files, bad config keys, empty datasets), 3 state mismatch (checkpoint
-format, version, or config hash conflicts), 4 training finished without
-delay convergence (all results are still written).
+Exit codes: 0 success, 1 an internal fault (a traceback) or an ``ablate``
+variant raised (the other variants and the table are still written), 2
+input problem (missing or malformed files, bad config keys or values, empty
+datasets, a dataset of another frame shape than the checkpoint's), 3 state
+mismatch (checkpoint format, version, stored config or config hash
+conflicts), 4 training finished without delay convergence (all results are
+still written). Input faults are the named errors of ``_INPUT_ERRORS``; any
+other exception, a bare ``ValueError`` included, is a fault of the program
+and propagates.
 """
 
 from __future__ import annotations
@@ -73,8 +77,6 @@ _INPUT_ERRORS = (
     FileNotFoundError,
     NotADirectoryError,
     IsADirectoryError,
-    json.JSONDecodeError,
-    ValueError,
 )
 
 # Accuracy drops (train pp, test pp) reported by the reference experiments on
@@ -145,7 +147,10 @@ def cmd_ingest(args) -> int:
         return _fail("exactly one of --input and --synthetic is required", EXIT_INPUT)
     report: dict = {}
     if args.synthetic:
-        spec = SyntheticSpec.from_dict(json.loads(Path(args.synthetic).read_text()))
+        try:
+            spec = SyntheticSpec.from_dict(json.loads(Path(args.synthetic).read_text()))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            return _fail(f"spec file {args.synthetic} is not valid UTF-8 JSON: {e}", EXIT_INPUT)
         validate_spec(spec)
         train_s = gen_synthetic(spec, args.train_per_class, seed_offset=0)
         save_dataset(args.output, train_s, meta={"source": "synthetic"})
@@ -267,7 +272,10 @@ def cmd_train(args) -> int:
 def _parse_limits(text: str | None):
     if text is None:
         return None
-    limits = [int(part) for part in text.split(",") if part.strip()]
+    try:
+        limits = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        limits = []
     if not limits or any(x <= 0 for x in limits):
         raise ConfigError(f"bad --limit-frames value: {text!r}")
     return limits
@@ -293,6 +301,12 @@ def cmd_eval(args) -> int:
     samples, _meta = load_dataset(data_path)
     if not samples:
         return _fail(f"evaluation set is empty: {data_path}", EXIT_INPUT)
+    shape = samples[0].frames.shape[1:]
+    if shape != net.input_shape:
+        return _fail(
+            f"{data_path}: frames are (P, H, W) = {shape}, but the checkpoint's network takes {net.input_shape}",
+            EXIT_INPUT,
+        )
 
     limits = _parse_limits(args.limit_frames)
     out_dir = Path(args.out) if args.out else None

@@ -16,7 +16,9 @@ import hashlib
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -231,14 +233,41 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SyntheticSpec":
+        """The spec ``data`` describes. A missing field, a ``grid`` that is
+        not a list of two entries, or an edge that is not ``[[p, y, x],
+        [p, y, x], lag]`` of ints raises :class:`ConfigError` naming it."""
         _check_keys(cls, data)
+        required = (f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING)
+        missing = [name for name in required if name not in data]
+        if missing:
+            raise ConfigError(f"synthetic spec lacks {', '.join(missing)}")
         kw = dict(data)
+        if not (isinstance(kw["grid"], (list, tuple)) and len(kw["grid"]) == 2):
+            raise ConfigError(f"synthetic.grid must be a list of two ints, got {kw['grid']!r}")
         kw["grid"] = tuple(kw["grid"])
-        classes = []
-        for edges in kw["embedded_delays"]:
-            classes.append(tuple((tuple(src), tuple(tgt), int(lag)) for src, tgt, lag in edges))
-        kw["embedded_delays"] = tuple(classes)
+        if not isinstance(kw["embedded_delays"], (list, tuple)):
+            raise ConfigError("synthetic.embedded_delays must be a list with one list of edges per class")
+        kw["embedded_delays"] = tuple(_edges(k, edges) for k, edges in enumerate(kw["embedded_delays"]))
         return cls(**kw)
+
+
+def _edges(k: int, edges) -> tuple:
+    """Class ``k``'s edges as tuples. Raises :class:`ConfigError` unless each
+    is ``[[p, y, x], [p, y, x], lag]`` of ints. A spec can hold thousands of
+    edges and every checkpoint load reads them, so the checks map builtins
+    over the edges rather than call Python per edge."""
+    try:
+        out = tuple((tuple(src), tuple(tgt), lag) for src, tgt, lag in edges)
+    except (TypeError, ValueError):  # an edge or a cell that is no sequence, an edge of other than 3 entries
+        out = None
+    if out is not None:
+        src, tgt, lag = (tuple(map(operator.itemgetter(i), out)) for i in range(3))
+        shapes = set(map(len, src)) | set(map(len, tgt))
+        types = set(map(type, chain.from_iterable(src))) | set(map(type, chain.from_iterable(tgt)))
+        types |= set(map(type, lag))
+    if out is None or not shapes <= {3} or not all(issubclass(t, numbers.Integral) and t is not bool for t in types):
+        raise ConfigError(f"synthetic.embedded_delays[{k}]: an edge is not [[p, y, x], [p, y, x], lag] of ints")
+    return tuple(zip(src, tgt, map(int, lag)))
 
 
 @dataclass(frozen=True)
@@ -431,8 +460,8 @@ def load_config(path: str | Path) -> RunConfig:
         data = json.loads(path.read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config file {path} is not valid JSON: {e}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {e}")
     return RunConfig.from_dict(data)
 
 

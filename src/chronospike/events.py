@@ -173,10 +173,10 @@ def bin_frames(
     origin; a cell is 1 if at least one event of that polarity landed in the
     bin (presence, not count). Events past ``max_frames`` bins are dropped.
     """
-    if fps <= 0:
-        raise ValueError("fps must be positive")
+    if not fps > 0:
+        raise IngestError(f"fps must be positive, got {fps!r}")
     if max_frames <= 0:
-        raise ValueError("max_frames must be positive")
+        raise IngestError(f"max_frames must be positive, got {max_frames!r}")
     width, height = stream.sensor_size
     frames = np.zeros((max_frames, 2, height, width), dtype=np.uint8)
     if len(stream):
@@ -201,7 +201,7 @@ def split_dataset(samples: list[FrameSequence]) -> tuple[list[FrameSequence], li
         if not (1 <= s.subject_id <= SUBJECT_MAX):
             raise UnknownSubject(f"subject id {s.subject_id} outside 1..{SUBJECT_MAX}")
         if not (1 <= s.label <= N_RAW_LABELS):
-            raise ValueError(f"raw label {s.label} outside 1..{N_RAW_LABELS}")
+            raise IngestError(f"raw label {s.label} (subject {s.subject_id}) outside 1..{N_RAW_LABELS}")
         if s.label == EXCLUDED_RAW_LABEL:
             continue
         out = dataclasses.replace(s, label=s.label - 1)
@@ -326,10 +326,17 @@ def read_gesture_dir(root: str | Path, fps: float, max_frames: int) -> list[Fram
         subject = int(m.group(1))
         stream = decode_events(f.read_bytes())
         with open(label_path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                cls = int(row["class"])
-                t0 = int(row["startTime_usec"])
-                t1 = int(row["endTime_usec"])
+            rows = csv.DictReader(fh)
+            for row in rows:
+                try:
+                    cls, t0, t1 = (int(row[k]) for k in ("class", "startTime_usec", "endTime_usec"))
+                except KeyError as e:
+                    raise IngestError(f"{label_path}: no column {e}")
+                except (TypeError, ValueError):
+                    raise IngestError(
+                        f"{label_path}: line {rows.line_num}: class, startTime_usec and endTime_usec "
+                        f"must be integers, got {dict(row)}"
+                    )
                 mask = (stream.t >= t0) & (stream.t < t1)
                 piece = EventStream(
                     stream.x[mask], stream.y[mask], stream.polarity[mask], stream.t[mask] - t0,

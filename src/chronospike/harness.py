@@ -260,8 +260,8 @@ def _decision_pair_deltas(net: Network, pooled_t, pooled_unit, dec_t, dec_j):
     All rules are linear in the reward, so the sums get multiplied by the
     actual reward at apply time. Pooled units and decision neurons form one
     pre population, so forward synapses and lateral edges pair in one call.
-    The weight kernel has one closed form for both synapse signs; the edges
-    of :func:`_inh_rule_edges` take the inhibitory delay rule.
+    One weight rule serves both synapse signs; the edges under the
+    inhibitory rules (see :func:`_lateral_domain`) take the inhibitory delay rule.
     """
     par = net.cfg.plasticity
     n_fwd = net.wf.size
@@ -279,7 +279,7 @@ def _decision_pair_deltas(net: Network, pooled_t, pooled_unit, dec_t, dec_j):
         ),
     )
     d = d[syn]
-    inh = np.concatenate([np.zeros(n_fwd, dtype=bool), _inh_rule_edges(net)])[syn]
+    inh = np.concatenate([np.zeros(n_fwd, dtype=bool), _lateral_domain(net)[0]])[syn]
     dd = np.empty(syn.size)
     dd[~inh] = pl.unsupervised_delay_delta(t_pre[~inh], t_post[~inh], d[~inh], par)
     dd[inh] = pl.inhibitory_delay_delta(t_pre[inh], t_post[inh], d[inh], par)
@@ -288,64 +288,46 @@ def _decision_pair_deltas(net: Network, pooled_t, pooled_unit, dec_t, dec_j):
     return dw[:n_fwd].reshape(net.wf.shape), dd[:n_fwd].reshape(net.df.shape), dw[n_fwd:], dd[n_fwd:]
 
 
-def _inh_rule_edges(net: Network) -> np.ndarray:
-    """Lateral edges under the inhibitory rules and the domain [w_inh_min, 0].
-
-    These are the edges whose source neuron is inhibitory. With
-    ``inh_rules_shared`` there are none: every edge gets the excitatory
-    rules and the excitatory domain [0, w_max], as the weight closed form is
-    the same for both synapse types and only its domain tells them apart.
-    """
-    if net.cfg.inh_rules_shared:
-        return np.zeros(net.lat_src.size, dtype=bool)
-    return net.is_inh[net.lat_src]
-
-
-def _step_forward(w, d, frozen, rows, dw, dd, par, delay_on: bool) -> None:
-    """Add ``dw`` and ``dd`` to the ``rows`` of one forward block, in domain.
-
-    A forward block is the conv kernels (a row per map) or the decision
-    layer's afferent weights and delays (a row per neuron). ``dw`` and ``dd``
-    hold a change for every row, shaped like the block or broadcasting to
-    it. Weights stay in [0, w_max]. Delays move only with delay learning on
-    and only in rows that are not frozen, and stay in [0, d_max].
-    """
-    w[rows] = pl.clamp_excitatory_weights(w[rows] + dw[rows], par)
-    if delay_on:
-        live = rows & ~frozen
-        d[live] = pl.clamp_delays(d[live] + dd[live], par)
-
-
-def _step_lateral(net: Network, edges, dw, dd, delay_on: bool) -> None:
-    """Add ``dw`` and ``dd`` to the lateral ``edges``, in domain.
-
-    Weights stay in the domain of their rules: [w_inh_min, 0] for the edges
-    of :func:`_inh_rule_edges`, [0, w_max] for the rest. Delays move only
-    with delay learning on and only on edges into neurons that are not
-    frozen, and stay in [1, d_max].
-    """
+def _lateral_domain(net: Network):
+    """``(inh, lo, hi)``: the lateral edges under the inhibitory rules (those
+    from inhibitory neurons, none with ``inh_rules_shared``) and each edge's
+    weight bounds, [w_inh_min, 0] on those and [0, w_max] on the rest. The
+    weight rule is the same for both signs; only its domain tells them apart."""
     par = net.cfg.plasticity
-    net.lat_w[edges] += dw[edges]
-    inh_e = _inh_rule_edges(net)
-    exc = edges & ~inh_e
-    inh = edges & inh_e
-    net.lat_w[exc] = pl.clamp_excitatory_weights(net.lat_w[exc], par)
-    net.lat_w[inh] = pl.clamp_inhibitory_weights(net.lat_w[inh], par)
+    inh = net.is_inh[net.lat_src] & (not net.cfg.inh_rules_shared)
+    return inh, np.where(inh, par.w_inh_min, 0.0), np.where(inh, 0.0, par.w_max)
+
+
+def _step(w, d, sel, dw, dd, w_lo, w_hi, floor, live, par, delay_on: bool) -> None:
+    """Add ``dw`` and ``dd`` to the rows ``sel`` of one plastic block, in
+    domain: the one place where synapse weights and delays are clipped.
+
+    Blocks are the conv kernels (a row per map), the decision afferents (a
+    row per neuron) and the lateral edges (a row per edge). ``dw`` and ``dd``
+    are shaped like the block or broadcast to it; the weight bounds are
+    scalars or one per row. Delays move only with delay learning on, only
+    where ``live`` (not frozen), and stay in [floor, d_max]."""
+    lo, hi = (b[sel] if np.ndim(b) else b for b in (w_lo, w_hi))
+    w[sel] = np.clip(w[sel] + dw[sel], lo, hi)
     if delay_on:
-        live = edges & ~net.frozen[net.lat_tgt]
-        net.lat_d[live] = pl.clamp_delays(net.lat_d[live] + dd[live], par, pl.LATERAL_DELAY_FLOOR)
+        m = sel & live
+        d[m] = np.clip(d[m] + dd[m], floor, par.d_max)
 
 
 def _apply_decision_plasticity(net: Network, r: float, deltas, delay_on: bool) -> None:
     """Apply the unit-reward pair sums of one presentation, scaled by ``r``,
-    to every decision-layer synapse (see :func:`_step_forward` and
-    :func:`_step_lateral` for the domains)."""
+    to every decision-layer synapse through :func:`_step`."""
     if r == 0.0:
         return
     dwf, ddf, dlw, dld = deltas
-    every = np.ones(net.n_dec, dtype=bool)
-    _step_forward(net.wf, net.df, net.frozen, every, r * dwf, r * ddf, net.cfg.plasticity, delay_on)
-    _step_lateral(net, np.ones(net.lat_src.size, dtype=bool), r * dlw, r * dld, delay_on)
+    par = net.cfg.plasticity
+    _inh, lo, hi = _lateral_domain(net)
+    live = ~net.frozen
+    _step(net.wf, net.df, np.ones(net.n_dec, bool), r * dwf, r * ddf, 0.0, par.w_max, 0.0, live, par, delay_on)
+    _step(
+        net.lat_w, net.lat_d, np.ones(net.lat_src.size, bool), r * dlw, r * dld,
+        lo, hi, pl.LATERAL_DELAY_FLOOR, live[net.lat_tgt], par, delay_on,
+    )
 
 
 def _apply_neuron_gain(net: Network, gain: np.ndarray, delay_on: bool) -> None:
@@ -356,11 +338,16 @@ def _apply_neuron_gain(net: Network, gain: np.ndarray, delay_on: bool) -> None:
     rows = gain != 0.0
     if not rows.any():
         return
-    g = gain[:, None]
     par = net.cfg.plasticity
-    _step_forward(net.wf, net.df, net.frozen, rows, reg.lambda_w * g, -reg.lambda_d * g, par, delay_on)
+    _inh, lo, hi = _lateral_domain(net)
+    live = ~net.frozen
+    g = gain[:, None]
+    _step(net.wf, net.df, rows, reg.lambda_w * g, -reg.lambda_d * g, 0.0, par.w_max, 0.0, live, par, delay_on)
     eg = gain[net.lat_tgt]
-    _step_lateral(net, eg != 0.0, reg.lambda_w * eg, -reg.lambda_d * eg, delay_on)
+    _step(
+        net.lat_w, net.lat_d, eg != 0.0, reg.lambda_w * eg, -reg.lambda_d * eg,
+        lo, hi, pl.LATERAL_DELAY_FLOOR, live[net.lat_tgt], par, delay_on,
+    )
 
 
 # -- training phases ---------------------------------------------------------
@@ -389,14 +376,17 @@ def train_layer1(net: Network, samples: list[FrameSequence], metrics=None) -> Ph
             d_before = net.conv_d.copy()
             if spikes.any():
                 dw_k, dd_k = _conv_pair_deltas(net, frames, spikes)
-                _step_forward(net.conv_w, net.conv_d, net.conv_frozen, every, dw_k, dd_k, par, delay_on)
+                _step(
+                    net.conv_w, net.conv_d, every, dw_k, dd_k,
+                    0.0, par.w_max, 0.0, ~net.conv_frozen, par, delay_on,
+                )
             counts = spikes.sum(axis=0)
             ema_update(net.conv_act, counts, reg.activity_window)
             k_map = interval_gain(net.conv_act, reg).mean(axis=(1, 2))
             k = k_map[:, None, None, None]
-            _step_forward(
-                net.conv_w, net.conv_d, net.conv_frozen, k_map != 0.0,
-                reg.lambda_w * k, -reg.lambda_d * k, par, delay_on,
+            _step(
+                net.conv_w, net.conv_d, k_map != 0.0, reg.lambda_w * k, -reg.lambda_d * k,
+                0.0, par.w_max, 0.0, ~net.conv_frozen, par, delay_on,
             )
             if delay_on:
                 tracker.update(np.abs(net.conv_d - d_before).mean(axis=(1, 2, 3)))

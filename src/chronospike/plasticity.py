@@ -24,7 +24,7 @@ with the excitatory delay rule additionally subtracting the target lead
 ``epsilon``. Positive dt means the delayed presynaptic arrival preceded the
 postsynaptic spike (causal); negative dt means it came too late.
 
-The package holds three unit-reward kernels:
+The package holds three unit-reward rules, one two-sided kernel:
 
 * weight:                dw = +a_plus  * exp(-dt/tau_plus)   for dt >= 0
                          dw = -a_minus * exp(+dt/tau_minus)  for dt <  0
@@ -48,8 +48,8 @@ unit reward and scales the sums by r once, when it applies them. Under
 punishment (r < 0) each rule runs backwards.
 
 Deltas are accumulated per synapse over one presentation and applied once
-at the end, then clamped to the sign-respecting bounds in
-:class:`~chronospike.config.PlasticityParams`.
+at the end, by one harness step that keeps each block in its domain
+(:class:`~chronospike.config.PlasticityParams`).
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ __all__ = [
     "unsupervised_delay_delta",
     "inhibitory_delay_delta",
     "nearest_pairs",
-    "clamp_excitatory_weights",
-    "clamp_inhibitory_weights",
-    "clamp_delays",
     "delay_bins",
     "LATERAL_DELAY_FLOOR",
 ]
@@ -81,15 +78,19 @@ def _ret(x):
     return float(x) if x.ndim == 0 else x
 
 
+def _two_sided(dt, a_c, tau_c, a_a, tau_a):
+    """The one kernel of the three rules: ``a_c * exp(-dt/tau_c)`` for
+    dt >= 0 and ``-a_a * exp(dt/tau_a)`` below."""
+    return _ret(np.where(dt >= 0.0, a_c * np.exp(-dt / tau_c), -a_a * np.exp(dt / tau_a)))
+
+
+def _dt(t_pre, t_post, d):
+    return np.asarray(t_post, dtype=float) - np.asarray(t_pre, dtype=float) - np.asarray(d, dtype=float)
+
+
 def stdp_weight_delta(t_pre, t_post, d, p: PlasticityParams):
     """Weight change of one pair at unit reward, for either synapse sign."""
-    dt = np.asarray(t_post, dtype=float) - np.asarray(t_pre, dtype=float) - np.asarray(d, dtype=float)
-    out = np.where(
-        dt >= 0.0,
-        p.a_plus * np.exp(-dt / p.tau_plus),
-        -p.a_minus * np.exp(dt / p.tau_minus),
-    )
-    return _ret(out)
+    return _two_sided(_dt(t_pre, t_post, d), p.a_plus, p.tau_plus, p.a_minus, p.tau_minus)
 
 
 def unsupervised_delay_delta(t_pre, t_post, d, p: PlasticityParams):
@@ -99,18 +100,7 @@ def unsupervised_delay_delta(t_pre, t_post, d, p: PlasticityParams):
     still leads by more than epsilon the delay grows; once it trails, the
     delay shrinks. Magnitudes decay exponentially with the residual lag.
     """
-    dt = (
-        np.asarray(t_post, dtype=float)
-        - np.asarray(t_pre, dtype=float)
-        - np.asarray(d, dtype=float)
-        - p.epsilon
-    )
-    out = np.where(
-        dt >= 0.0,
-        p.b_plus * np.exp(-dt / p.sigma_plus),
-        -p.b_minus * np.exp(dt / p.sigma_minus),
-    )
-    return _ret(out)
+    return _two_sided(_dt(t_pre, t_post, d) - p.epsilon, p.b_plus, p.sigma_plus, p.b_minus, p.sigma_minus)
 
 
 def inhibitory_delay_delta(t_pre, t_post, d, p: PlasticityParams):
@@ -121,13 +111,7 @@ def inhibitory_delay_delta(t_pre, t_post, d, p: PlasticityParams):
     where it could veto the postsynaptic spike; an anti-causal pair shortens
     it. No epsilon offset is applied.
     """
-    dt = np.asarray(t_post, dtype=float) - np.asarray(t_pre, dtype=float) - np.asarray(d, dtype=float)
-    out = np.where(
-        dt >= 0.0,
-        p.b_minus * np.exp(-dt / p.sigma_minus),
-        -p.b_plus * np.exp(dt / p.sigma_plus),
-    )
-    return _ret(out)
+    return _two_sided(_dt(t_pre, t_post, d), p.b_minus, p.sigma_minus, p.b_plus, p.sigma_plus)
 
 
 def nearest_pairs(pre_t, pre_n, post_t, post_n, syn_pre, syn_post, syn_k):
@@ -181,21 +165,6 @@ def _latest(key, neuron, t, span, side):
     i = np.searchsorted(key, base + t, side=side) - 1
     found = key[np.maximum(i, 0)]
     return np.where((i >= 0) & (found >= base), found - base, -1)
-
-
-def clamp_excitatory_weights(w, p: PlasticityParams):
-    np.clip(w, 0.0, p.w_max, out=w)
-    return w
-
-
-def clamp_inhibitory_weights(w, p: PlasticityParams):
-    np.clip(w, p.w_inh_min, 0.0, out=w)
-    return w
-
-
-def clamp_delays(d, p: PlasticityParams, floor: float = 0.0):
-    np.clip(d, floor, p.d_max, out=d)
-    return d
 
 
 def delay_bins(d, p: PlasticityParams, floor: float = 0.0) -> np.ndarray:

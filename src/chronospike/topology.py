@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import plasticity as pl
-from .config import RunConfig, canonical_json, config_hash, model_identity
+from .config import ConfigError, RunConfig, canonical_json, config_hash, model_identity
 
 CHECKPOINT_FORMAT = "chronospike-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -141,7 +141,7 @@ class Network:
         if cfg.delay_mode == "fixed":
             for d, floor in ((self.conv_d, 0.0), (self.df, 0.0), (self.lat_d, pl.LATERAL_DELAY_FLOOR)):
                 d.fill(float(cfg.fixed_delay_value))
-                pl.clamp_delays(d, plast, floor)
+                np.clip(d, floor, plast.d_max, out=d)
 
         self.theta = np.full(self.n_dec, top.decision_theta)
         self.act_short = np.zeros(self.n_dec)
@@ -281,10 +281,12 @@ def load_checkpoint(path: str | Path) -> Network:
     ``config_hash`` digests its stored config (as written, before retired
     fields are dropped), ``phase`` is known, every array has the shape and
     dtype the config implies, float arrays are finite, and edge, class and
-    decision-window entries index existing neurons and classes."""
+    decision-window entries index existing neurons and classes. A stored
+    config that this code rejects, or that builds no network on
+    ``input_shape``, is a :class:`StateError` too."""
     try:
         payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise StateError(f"cannot read checkpoint {path}: {e}")
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise StateError(f"{path}: not a checkpoint file")
@@ -301,7 +303,10 @@ def load_checkpoint(path: str | Path) -> Network:
     shape = payload["input_shape"]
     if not (isinstance(shape, list) and len(shape) == 3 and all(type(x) is int and x > 0 for x in shape)):
         raise StateError(f"{path}: input_shape {shape!r} is not three positive integers")
-    net = Network(RunConfig.from_dict(payload["config"]), tuple(shape))
+    try:
+        net = Network(RunConfig.from_dict(payload["config"]), tuple(shape))
+    except (ConfigError, InvalidConfig) as e:
+        raise StateError(f"{path}: stored config does not describe a network: {e}")
     arrays = payload["arrays"]
     if not isinstance(arrays, dict):
         raise StateError(f"{path}: arrays is not an object")

@@ -24,11 +24,8 @@ from test_plasticity import reward_delay_delta
 from chronospike.cli import main
 from chronospike.config import PlasticityParams, RegulationParams, save_config, with_disabled
 from chronospike.events import decode_events
-from chronospike.harness import evaluate, frames_sweep, train
+from chronospike.harness import _step, evaluate, frames_sweep, train
 from chronospike.plasticity import (
-    clamp_delays,
-    clamp_excitatory_weights,
-    clamp_inhibitory_weights,
     inhibitory_delay_delta,
     stdp_weight_delta,
     unsupervised_delay_delta,
@@ -184,18 +181,18 @@ def test_criterion_03_sign_bounds_and_inhibitory_identity(runs):
     w_inh = rng.uniform(p.w_inh_min, 0.0, n)
     d = rng.uniform(0.0, p.d_max, n)
     half = n // 2
+    every = np.ones(n, dtype=bool)
     for _ in range(1000):
         t_pre = rng.uniform(0.0, 50.0, n)
         t_post = rng.uniform(0.0, 50.0, n)
         r = float(rng.uniform(-1.0, 1.0))
-        # the unit-reward kernels, scaled by r as the harness applies them
-        w_exc += r * stdp_weight_delta(t_pre, t_post, d, p)
-        w_inh += r * stdp_weight_delta(t_pre, t_post, d, p)
-        d[:half] += r * unsupervised_delay_delta(t_pre, t_post, d, p)[:half]
-        d[half:] += r * inhibitory_delay_delta(t_pre, t_post, d, p)[half:]
-        clamp_excitatory_weights(w_exc, p)
-        clamp_inhibitory_weights(w_inh, p)
-        clamp_delays(d, p)
+        # the unit-reward kernels, scaled by r and applied in domain by the
+        # harness step: an excitatory domain, then an inhibitory one
+        dw = r * stdp_weight_delta(t_pre, t_post, d, p)
+        dd_exc = unsupervised_delay_delta(t_pre, t_post, d, p)[:half]
+        dd = r * np.concatenate([dd_exc, inhibitory_delay_delta(t_pre, t_post, d, p)[half:]])
+        _step(w_exc, d, every, dw, dd, 0.0, p.w_max, 0.0, every, p, True)
+        _step(w_inh, d, every, dw, dd, p.w_inh_min, 0.0, 0.0, every, p, False)
         assert w_exc.min() >= 0.0 and w_exc.max() <= p.w_max
         assert w_inh.max() <= 0.0 and w_inh.min() >= p.w_inh_min
         assert d.min() >= 0.0 and d.max() <= p.d_max

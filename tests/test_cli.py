@@ -2,6 +2,7 @@
 
 import base64
 import dataclasses
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -10,11 +11,12 @@ import numpy as np
 import pytest
 
 from conftest import tiny_cfg
+from test_events import _write_recording
 
 from chronospike.cli import REFERENCE_DELTAS_PP, main
-from chronospike.config import VARIANTS, config_hash, load_config, save_config, to_dict
+from chronospike.config import VARIANTS, canonical_json, config_hash, load_config, save_config, to_dict
 from chronospike.core import DelayBuffer, DelayOutOfRange
-from chronospike.events import load_dataset
+from chronospike.events import FrameSequence, load_dataset, save_dataset
 from chronospike.harness import run_presentation, train
 from chronospike.topology import load_checkpoint, save_checkpoint
 
@@ -399,6 +401,13 @@ def _set_first(payload, name, value):
     spec["data"] = base64.b64encode(a.tobytes()).decode("ascii")
 
 
+def _set_config(payload, edit):
+    """Edit the stored config and recompute its hash, so that only the
+    config's content is wrong."""
+    edit(payload["config"])
+    payload["config_hash"] = hashlib.sha256(canonical_json(payload["config"]).encode()).hexdigest()
+
+
 HOSTILE_CHECKPOINTS = {
     "missing arrays": lambda p: p.pop("arrays"),
     "missing rng": lambda p: p.pop("rng"),
@@ -410,6 +419,9 @@ HOSTILE_CHECKPOINTS = {
     "NaN in wf": lambda p: _set_first(p, "wf", float("nan")),
     "zeroed config_hash": lambda p: p.update(config_hash="0" * 64),
     "decision_window [99]": lambda p: p.update(decision_window=[99]),
+    "config.lif 5": lambda p: _set_config(p, lambda c: c.update(lif=5)),
+    "n_classes 1": lambda p: _set_config(p, lambda c: c["topology"].update(n_classes=1)),
+    "input_shape [2, 2, 2] under a 3x3 kernel": lambda p: p.update(input_shape=[2, 2, 2]),
 }
 
 
@@ -425,6 +437,15 @@ def test_eval_rejects_hostile_checkpoint(ws, tmp_path, capsys, probe):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_eval_checkpoint_not_utf8_is_state_error(ws, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"format": "\xff"}')
+    rc = main(["eval", "--checkpoint", str(bad), "--data", str(ws["test_ds"])])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 3
+    assert len(lines) == 1 and lines[0].startswith("error:") and "bad.json" in lines[0]
 
 
 def test_eval_missing_checkpoint(ws, tmp_path):
@@ -484,6 +505,21 @@ def test_eval_rejects_hostile_dataset(ws, tmp_path, capsys, probe):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and field in lines[0]
+
+
+@pytest.mark.parametrize("hw", [(8, 8), (4, 4)])
+def test_eval_rejects_dataset_of_another_frame_shape(ws, tmp_path, capsys, hw):
+    data = tmp_path / "other.cspk"
+    frames = np.zeros((5, 2) + hw, dtype=np.uint8)
+    frames[1, 0, 1, 1] = 1
+    save_dataset(data, [FrameSequence(frames, bin_width_ms=1.0, label=0)])
+    rc = main(["eval", "--checkpoint", str(ws["out1"] / "checkpoint_final.json"), "--data", str(data)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str((2,) + hw) in lines[0] and "(2, 6, 6)" in lines[0]
 
 
 def test_eval_dump_spikes_csv(ws, tmp_path, capsys):
@@ -653,3 +689,108 @@ def test_ablate_needs_test_data(ws, tmp_path):
         ]
     )
     assert rc == 2
+
+
+# -- input faults are named; anything else propagates --------------------------
+
+
+def _recording(tmp_path, rows=((2, 0, 1_000_000),), header="class,startTime_usec,endTime_usec"):
+    _write_recording(tmp_path, "user07_led", rows, [(1, 1, 1, 10_000, True)])
+    if header != "class,startTime_usec,endTime_usec":
+        csv_path = tmp_path / "user07_led_labels.csv"
+        csv_path.write_text(csv_path.read_text().replace("class,startTime_usec,endTime_usec", header))
+    return ["ingest", "--input", str(tmp_path), "--output", str(tmp_path / "x.cspk"), "--max-frames", "4"]
+
+
+def _spec_file(tmp_path, ws, edit):
+    spec = json.loads(ws["spec_path"].read_text())
+    edit(spec)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+def _config_with_spec(tmp_path, ws, edit):
+    cfg = json.loads(ws["cfg_path"].read_text())
+    cfg["synthetic"] = json.loads(_spec_file(tmp_path, ws, edit).read_text())
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return ["train", "--config", str(path), "--out", str(tmp_path / "t")]
+
+
+def _write(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
+def _bad_edge(spec):
+    spec["embedded_delays"][0][0] = [[0, 1, 1], 3]
+
+
+# name: (argv built from tmp_path and ws, a text the error line must hold)
+INPUT_PROBES = {
+    "ingest --fps 0": (lambda tmp, ws: _recording(tmp) + ["--fps", "0"], "fps"),
+    "ingest --max-frames 0": (lambda tmp, ws: _recording(tmp) + ["--max-frames", "0"], "max_frames"),
+    "raw label 12": (lambda tmp, ws: _recording(tmp, rows=((12, 0, 1_000_000),)), "raw label 12"),
+    "labels without class": (
+        lambda tmp, ws: _recording(tmp, header="kind,startTime_usec,endTime_usec"), "user07_led_labels.csv"
+    ),
+    "class x": (
+        lambda tmp, ws: _recording(tmp, rows=(("x", 0, 1_000_000),)), "user07_led_labels.csv"
+    ),
+    "--limit-frames abc": (
+        lambda tmp, ws: [
+            "eval", "--checkpoint", str(ws["out1"] / "checkpoint_final.json"),
+            "--data", str(ws["test_ds"]), "--limit-frames", "abc",
+        ],
+        "--limit-frames",
+    ),
+    "spec without grid": (
+        lambda tmp, ws: [
+            "ingest", "--synthetic", str(_spec_file(tmp, ws, lambda s: s.pop("grid"))),
+            "--output", str(tmp / "x.cspk"),
+        ],
+        "grid",
+    ),
+    "spec edge [[p, y, x], lag]": (
+        lambda tmp, ws: [
+            "ingest", "--synthetic", str(_spec_file(tmp, ws, _bad_edge)), "--output", str(tmp / "x.cspk")
+        ],
+        "embedded_delays[0]",
+    ),
+    "config edge [[p, y, x], lag]": (lambda tmp, ws: _config_with_spec(tmp, ws, _bad_edge), "embedded_delays[0]"),
+    "config not UTF-8": (
+        lambda tmp, ws: ["train", "--config", str(_write(tmp / "cfg.json", b"{\xff}")), "--out", str(tmp / "t")],
+        "cfg.json",
+    ),
+    "spec not UTF-8": (
+        lambda tmp, ws: [
+            "ingest", "--synthetic", str(_write(tmp / "spec.json", b"{\xff}")), "--output", str(tmp / "x.cspk")
+        ],
+        "spec.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", list(INPUT_PROBES))
+def test_input_faults_exit_2_naming_field_or_file(ws, tmp_path, capsys, probe):
+    argv, named = INPUT_PROBES[probe]
+    rc = main(argv(tmp_path, ws))
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0]
+    assert not (tmp_path / "x.cspk").exists()
+
+
+def test_internal_value_error_is_not_an_input_error(ws, tmp_path, monkeypatch):
+    """A bare ValueError from inside training is a bug: it propagates as a
+    traceback instead of reading as bad input (exit 2)."""
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("chronospike.cli.train", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["train", "--config", str(ws["cfg_path"]), "--out", str(tmp_path / "out")])

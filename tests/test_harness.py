@@ -1,5 +1,6 @@
 """Presentation engine, reward and vote, training loop invariants."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -9,7 +10,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import tiny_cfg
-from test_plasticity import ref_exc_delay, ref_inh_delay, ref_pairs, ref_weight
+from test_plasticity import (
+    clamp_delays,
+    clamp_excitatory_weights,
+    clamp_inhibitory_weights,
+    ref_exc_delay,
+    ref_inh_delay,
+    ref_pairs,
+    ref_weight,
+)
 
 from chronospike import gen_synthetic
 from chronospike.config import LIFParams, PlasticityParams
@@ -21,6 +30,8 @@ from chronospike.harness import (
     _decision_pair_deltas,
     FLUSH_FACTOR,
     _decision_sim,
+    _lateral_domain,
+    _step,
     build_pooled_cache,
     compute_reward,
     evaluate,
@@ -675,3 +686,146 @@ def test_frames_sweep_returns_pairs():
     out = frames_sweep(net, samples[:4], [4, 12, 24])
     assert [x for x, _ in out] == [4, 12, 24]
     assert all(0.0 <= acc <= 1.0 for _, acc in out)
+
+
+# -- one in-domain step for every plastic block -----------------------------------
+#
+# The per-block steps and their callers as they stood before every update went
+# through ``_step``, kept verbatim (with the clamp helpers of test_plasticity)
+# as references for bit-identity.
+
+
+def _inh_rule_edges(net) -> np.ndarray:
+    if net.cfg.inh_rules_shared:
+        return np.zeros(net.lat_src.size, dtype=bool)
+    return net.is_inh[net.lat_src]
+
+
+def _step_forward(w, d, frozen, rows, dw, dd, par, delay_on: bool) -> None:
+    w[rows] = clamp_excitatory_weights(w[rows] + dw[rows], par)
+    if delay_on:
+        live = rows & ~frozen
+        d[live] = clamp_delays(d[live] + dd[live], par)
+
+
+def _step_lateral(net, edges, dw, dd, delay_on: bool) -> None:
+    par = net.cfg.plasticity
+    net.lat_w[edges] += dw[edges]
+    inh_e = _inh_rule_edges(net)
+    exc = edges & ~inh_e
+    inh = edges & inh_e
+    net.lat_w[exc] = clamp_excitatory_weights(net.lat_w[exc], par)
+    net.lat_w[inh] = clamp_inhibitory_weights(net.lat_w[inh], par)
+    if delay_on:
+        live = edges & ~net.frozen[net.lat_tgt]
+        net.lat_d[live] = clamp_delays(net.lat_d[live] + dd[live], par, LATERAL_DELAY_FLOOR)
+
+
+def old_apply_decision_plasticity(net, r, deltas, delay_on):
+    if r == 0.0:
+        return
+    dwf, ddf, dlw, dld = deltas
+    every = np.ones(net.n_dec, dtype=bool)
+    _step_forward(net.wf, net.df, net.frozen, every, r * dwf, r * ddf, net.cfg.plasticity, delay_on)
+    _step_lateral(net, np.ones(net.lat_src.size, dtype=bool), r * dlw, r * dld, delay_on)
+
+
+def old_apply_neuron_gain(net, gain, delay_on):
+    reg = net.cfg.regulation
+    rows = gain != 0.0
+    if not rows.any():
+        return
+    g = gain[:, None]
+    par = net.cfg.plasticity
+    _step_forward(net.wf, net.df, net.frozen, rows, reg.lambda_w * g, -reg.lambda_d * g, par, delay_on)
+    eg = gain[net.lat_tgt]
+    _step_lateral(net, eg != 0.0, reg.lambda_w * eg, -reg.lambda_d * eg, delay_on)
+
+
+STEP_NETS = {shared: build_network(tiny_cfg(inh_rules_shared=shared), (2, 6, 6)) for shared in (False, True)}
+BLOCK_ARRAYS = ("conv_w", "conv_d", "wf", "df", "lat_w", "lat_d")
+
+
+def _step_pair(shared, rng):
+    """Two equal copies of a tiny network with random frozen masks."""
+    net = copy.deepcopy(STEP_NETS[shared])
+    net.conv_frozen[:] = rng.random(net.n_maps) < 0.4
+    net.frozen[:] = rng.random(net.n_dec) < 0.4
+    return net, copy.deepcopy(net)
+
+
+def _assert_blocks_equal(net, ref):
+    for name in BLOCK_ARRAYS:
+        assert np.array_equal(getattr(net, name), getattr(ref, name)), name
+
+
+def _change(rng, shape, per_row, scale):
+    """A change that overshoots the domains: per element, or one per row."""
+    if per_row:
+        return rng.normal(0.0, scale, shape[:1]).reshape((-1,) + (1,) * (len(shape) - 1))
+    return rng.normal(0.0, scale, shape)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shared=st.booleans(),
+    delay_on=st.booleans(),
+    block=st.sampled_from(["conv", "forward", "lateral"]),
+    per_row=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_step_matches_old_block_steps(seed, shared, delay_on, block, per_row):
+    rng = np.random.default_rng(seed)
+    net, ref = _step_pair(shared, rng)
+    par = net.cfg.plasticity
+    if block == "lateral":
+        sel = rng.random(net.lat_src.size) < 0.5
+        dw = _change(rng, net.lat_w.shape, False, 2.0 * par.w_max)
+        dd = _change(rng, net.lat_d.shape, False, par.d_max)
+        _step_lateral(ref, sel, dw, dd, delay_on)
+        _inh, lo, hi = _lateral_domain(net)
+        _step(
+            net.lat_w, net.lat_d, sel, dw, dd, lo, hi,
+            LATERAL_DELAY_FLOOR, ~net.frozen[net.lat_tgt], par, delay_on,
+        )
+    else:
+        w, d, frozen = ("conv_w", "conv_d", "conv_frozen") if block == "conv" else ("wf", "df", "frozen")
+        shape = getattr(net, w).shape
+        sel = rng.random(shape[0]) < 0.5
+        dw = _change(rng, shape, per_row, 2.0 * par.w_max)
+        dd = _change(rng, shape, per_row, par.d_max)
+        _step_forward(getattr(ref, w), getattr(ref, d), getattr(ref, frozen), sel, dw, dd, par, delay_on)
+        _step(
+            getattr(net, w), getattr(net, d), sel, dw, dd,
+            0.0, par.w_max, 0.0, ~getattr(net, frozen), par, delay_on,
+        )
+    _assert_blocks_equal(net, ref)
+
+
+@given(seed=st.integers(0, 2**32 - 1), shared=st.booleans(), delay_on=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_decision_updates_match_old_callers(seed, shared, delay_on):
+    rng = np.random.default_rng(seed)
+    net, ref = _step_pair(shared, rng)
+    par = net.cfg.plasticity
+    for _ in range(4):
+        blocks = (net.wf, net.df, net.lat_w, net.lat_d)
+        deltas = tuple(rng.normal(0.0, s, a.shape) for a, s in zip(blocks, (par.w_max, par.d_max) * 2))
+        r = float(rng.choice([0.0, rng.uniform(-1.0, 1.0)]))
+        gain = np.where(rng.random(net.n_dec) < 0.5, 0.0, rng.normal(0.0, 5.0, net.n_dec))
+        old_apply_decision_plasticity(ref, r, deltas, delay_on)
+        _apply_decision_plasticity(net, r, deltas, delay_on)
+        old_apply_neuron_gain(ref, gain, delay_on)
+        _apply_neuron_gain(net, gain, delay_on)
+        _assert_blocks_equal(net, ref)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_lateral_domain_matches_old_inh_rule_edges(shared):
+    net = STEP_NETS[shared]
+    par = net.cfg.plasticity
+    inh, lo, hi = _lateral_domain(net)
+    assert np.array_equal(inh, _inh_rule_edges(net))
+    assert inh.any() != shared
+    assert (lo[inh] == par.w_inh_min).all() and (hi[inh] == 0.0).all()
+    assert (lo[~inh] == 0.0).all() and (hi[~inh] == par.w_max).all()

@@ -1,6 +1,8 @@
 """Properties of the source tree as a whole."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,3 +36,21 @@ def test_every_function_has_a_caller_outside_the_tests():
     defined = [name for p in sorted(SRC.glob("*.py")) for name in _defined(ast.parse(p.read_text()))]
     assert len(defined) > 50
     assert sorted(set(defined) - named) == []
+
+
+def test_benchmark_trace_targets_exist(monkeypatch):
+    """Every function the benchmark traces exists, so a refactor that renames
+    a traced helper fails here. The one known gap is ``pair_spikes``, which
+    the benchmark still names after ``nearest_pairs`` replaced it (ROADMAP
+    open item 1); when the benchmark traces ``nearest_pairs``, this list
+    becomes empty. The test enters and leaves the tracer and changes nothing
+    under ``bench/``."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look their module up there
+    spec.loader.exec_module(tracing)
+    originals = [getattr(ns, attr, None) for ns, attr, _name, _hook in tracing.TARGETS]
+    with tracing.Tracer() as tracer:
+        pass
+    assert tracer.missing == ["plasticity.pair_spikes"]
+    assert [getattr(ns, attr, None) for ns, attr, _name, _hook in tracing.TARGETS] == originals

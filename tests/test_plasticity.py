@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from chronospike.config import PlasticityParams
 from chronospike import plasticity as pl
+from chronospike.harness import _step
 
 P = PlasticityParams(
     a_plus=0.1,
@@ -327,21 +328,129 @@ def test_nearest_pairs_of_many_synapses_match_reference_in_order(pre, post, syna
     assert list(zip(syn.tolist(), tp.tolist(), tq.tolist())) == want
 
 
-# -- clamps ----------------------------------------------------------------------
+# -- the one kernel against the three rule bodies it replaced -------------------
+#
+# The rule bodies and clamp helpers as they stood before the rules shared one
+# two-sided kernel and every domain clip moved into ``harness._step``, kept
+# verbatim as references for bit-identity.
+
+_ret = pl._ret
+
+
+def old_stdp_weight_delta(t_pre, t_post, d, p: PlasticityParams):
+    """Weight change of one pair at unit reward, for either synapse sign."""
+    dt = np.asarray(t_post, dtype=float) - np.asarray(t_pre, dtype=float) - np.asarray(d, dtype=float)
+    out = np.where(
+        dt >= 0.0,
+        p.a_plus * np.exp(-dt / p.tau_plus),
+        -p.a_minus * np.exp(dt / p.tau_minus),
+    )
+    return _ret(out)
+
+
+def old_unsupervised_delay_delta(t_pre, t_post, d, p: PlasticityParams):
+    dt = (
+        np.asarray(t_post, dtype=float)
+        - np.asarray(t_pre, dtype=float)
+        - np.asarray(d, dtype=float)
+        - p.epsilon
+    )
+    out = np.where(
+        dt >= 0.0,
+        p.b_plus * np.exp(-dt / p.sigma_plus),
+        -p.b_minus * np.exp(dt / p.sigma_minus),
+    )
+    return _ret(out)
+
+
+def old_inhibitory_delay_delta(t_pre, t_post, d, p: PlasticityParams):
+    dt = np.asarray(t_post, dtype=float) - np.asarray(t_pre, dtype=float) - np.asarray(d, dtype=float)
+    out = np.where(
+        dt >= 0.0,
+        p.b_minus * np.exp(-dt / p.sigma_minus),
+        -p.b_plus * np.exp(dt / p.sigma_plus),
+    )
+    return _ret(out)
+
+
+def clamp_excitatory_weights(w, p: PlasticityParams):
+    np.clip(w, 0.0, p.w_max, out=w)
+    return w
+
+
+def clamp_inhibitory_weights(w, p: PlasticityParams):
+    np.clip(w, p.w_inh_min, 0.0, out=w)
+    return w
+
+
+def clamp_delays(d, p: PlasticityParams, floor: float = 0.0):
+    np.clip(d, floor, p.d_max, out=d)
+    return d
+
+
+RULES = [
+    (pl.stdp_weight_delta, old_stdp_weight_delta),
+    (pl.unsupervised_delay_delta, old_unsupervised_delay_delta),
+    (pl.inhibitory_delay_delta, old_inhibitory_delay_delta),
+]
+# times that put dt at 0.0, -0.0 and around +-1e-300, next to plain values
+edge_times = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1.0, 2.5])
+times = st.one_of(edge_times, st.floats(min_value=-60.0, max_value=60.0))
+amplitudes = st.floats(min_value=1e-3, max_value=10.0)
+# |dt| stays under 180, so exp(|dt| / tau) stays finite in both branches
+time_constants = st.floats(min_value=0.3, max_value=20.0)
+
+
+@given(
+    t_pre=st.lists(times, min_size=1, max_size=12),
+    data=st.data(),
+    a=st.tuples(amplitudes, amplitudes, time_constants, time_constants),
+    b=st.tuples(amplitudes, amplitudes, time_constants, time_constants),
+    epsilon=st.one_of(st.just(0.0), st.floats(min_value=-3.0, max_value=3.0)),
+)
+@settings(max_examples=300)
+def test_rules_match_their_old_bodies_bit_for_bit(t_pre, data, a, b, epsilon):
+    n = len(t_pre)
+    t_post = data.draw(st.lists(times, min_size=n, max_size=n))
+    d = data.draw(st.lists(times, min_size=n, max_size=n))
+    p = PlasticityParams(
+        a_plus=a[0], a_minus=a[1], tau_plus=a[2], tau_minus=a[3],
+        b_plus=b[0], b_minus=b[1], sigma_plus=b[2], sigma_minus=b[3], epsilon=epsilon,
+    )
+    for new, old in RULES:
+        got, want = new(t_pre, t_post, d, p), old(t_pre, t_post, d, p)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+        one, ref = new(t_pre[0], t_post[0], d[0], p), old(t_pre[0], t_post[0], d[0], p)
+        assert type(one) is type(ref) is float
+        assert np.array_equal(one, ref) and math.copysign(1.0, one) == math.copysign(1.0, ref)
+
+
+def test_rules_at_signed_zero_and_tiny_dt():
+    # dt = 0.0 and -0.0 both take the causal branch; +-1e-300 pick their sides
+    for t_post, d in ((0.0, 0.0), (-0.0, 0.0), (1e-300, 0.0), (0.0, 1e-300), (-1e-300, 0.0)):
+        for new, old in RULES:
+            assert new(0.0, t_post, d, P) == old(0.0, t_post, d, P)
+    assert pl.stdp_weight_delta(0.0, -0.0, 0.0, P) == P.a_plus
+    assert pl.stdp_weight_delta(0.0, 0.0, 1e-300, P) == -P.a_minus
+
+
+# -- domains --------------------------------------------------------------------
 
 
 def test_clamps_respect_sign_domains():
     p = PlasticityParams(w_max=1.0, w_inh_min=-1.0, d_max=20.0)
+    rows = np.ones(3, dtype=bool)
+    zero = np.zeros(3)
     w = np.array([-0.2, 0.5, 1.7])
-    pl.clamp_excitatory_weights(w, p)
-    assert w.tolist() == [0.0, 0.5, 1.0]
-    wi = np.array([-1.4, -0.3, 0.6])
-    pl.clamp_inhibitory_weights(wi, p)
-    assert wi.tolist() == [-1.0, -0.3, 0.0]
     d = np.array([-3.0, 4.0, 25.0])
-    pl.clamp_delays(d, p)
+    _step(w, d, rows, zero, zero, 0.0, p.w_max, 0.0, rows, p, True)
+    assert w.tolist() == [0.0, 0.5, 1.0]
     assert d.tolist() == [0.0, 4.0, 20.0]
+    wi = np.array([-1.4, -0.3, 0.6])
+    _step(wi, d, rows, zero, zero, p.w_inh_min, 0.0, 0.0, rows, p, False)
+    assert wi.tolist() == [-1.0, -0.3, 0.0]
+    w2 = np.zeros(2)
     d2 = np.array([0.5, 4.0])
-    pl.clamp_delays(d2, p, floor=1.0)
+    _step(w2, d2, rows[:2], zero[:2], zero[:2], 0.0, p.w_max, 1.0, rows[:2], p, True)
     assert d2.tolist() == [1.0, 4.0]
-
