@@ -234,8 +234,10 @@ class SyntheticSpec:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SyntheticSpec":
         """The spec ``data`` describes. A missing field, a ``grid`` that is
-        not a list of two entries, or an edge that is not ``[[p, y, x],
-        [p, y, x], lag]`` of ints raises :class:`ConfigError` naming it."""
+        not a list of two entries, an edge that is not ``[[p, y, x],
+        [p, y, x], lag]`` of ints, or a field that fails the checks a
+        config's ``synthetic`` section gets (:func:`_check_numbers`) raises
+        :class:`ConfigError` naming it."""
         _check_keys(cls, data)
         required = (f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING)
         missing = [name for name in required if name not in data]
@@ -248,7 +250,9 @@ class SyntheticSpec:
         if not isinstance(kw["embedded_delays"], (list, tuple)):
             raise ConfigError("synthetic.embedded_delays must be a list with one list of edges per class")
         kw["embedded_delays"] = tuple(_edges(k, edges) for k, edges in enumerate(kw["embedded_delays"]))
-        return cls(**kw)
+        spec = cls(**kw)
+        _check_section("synthetic", spec)
+        return spec
 
 
 def _edges(k: int, edges) -> tuple:
@@ -360,27 +364,32 @@ def _check_numbers(cfg: RunConfig) -> None:
     sections that is not a finite number (or is a bool), an int field that
     holds no int (or a bool), a time constant of :data:`POSITIVE_FIELDS`
     that is not positive and a field below its entry in :data:`MINIMA`."""
-    sections = {"": cfg}
-    sections.update((f.name, getattr(cfg, f.name)) for f in dataclasses.fields(cfg))
-    for section, obj in sections.items():
-        if not dataclasses.is_dataclass(obj):
-            continue
-        for f in dataclasses.fields(obj):
-            v = getattr(obj, f.name)
-            name = f"{section}.{f.name}" if section else f.name
-            values = v if isinstance(v, tuple) and f.type.startswith("tuple") else (v,)
-            real = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values)
-            finite = all(not isinstance(x, float) or math.isfinite(x) for x in values)
-            if ("float" in f.type and not real) or not finite:
-                raise ConfigError(f"{name} must be a finite number, got {v!r}")
-            if f.type in ("int", "tuple[int, int]") and not all(
-                isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in values
-            ):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
-            if (section, f.name) in POSITIVE_FIELDS and not v > 0:
-                raise ConfigError(f"{name} must be positive, got {v!r}")
-            if (section, f.name) in MINIMA and not v >= MINIMA[section, f.name]:
-                raise ConfigError(f"{name} must be at least {MINIMA[section, f.name]}, got {v!r}")
+    _check_section("", cfg)
+    for f in dataclasses.fields(cfg):
+        obj = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(obj):
+            _check_section(f.name, obj)
+
+
+def _check_section(section: str, obj) -> None:
+    """The checks of :func:`_check_numbers` on the fields of one dataclass,
+    named ``section.field`` (``field`` for the top-level section "")."""
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        name = f"{section}.{f.name}" if section else f.name
+        values = v if isinstance(v, tuple) and f.type.startswith("tuple") else (v,)
+        real = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values)
+        finite = all(not isinstance(x, float) or math.isfinite(x) for x in values)
+        if ("float" in f.type and not real) or not finite:
+            raise ConfigError(f"{name} must be a finite number, got {v!r}")
+        if f.type in ("int", "tuple[int, int]") and not all(
+            isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in values
+        ):
+            raise ConfigError(f"{name} must be an integer, got {v!r}")
+        if (section, f.name) in POSITIVE_FIELDS and not v > 0:
+            raise ConfigError(f"{name} must be positive, got {v!r}")
+        if (section, f.name) in MINIMA and not v >= MINIMA[section, f.name]:
+            raise ConfigError(f"{name} must be at least {MINIMA[section, f.name]}, got {v!r}")
 
 
 def _check_keys(cls, data: dict[str, Any]) -> None:

@@ -225,31 +225,101 @@ def compute_reward(counts: np.ndarray, target: int, kappa: float, clip_val: floa
 # -- plasticity plumbing -----------------------------------------------------
 
 
+def _latest_before(raster: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Row ``t - lo``, for t in [lo, hi) with lo <= 0: per column of the
+    boolean ``raster`` (bins along axis 0), the latest bin before t in which
+    it spikes, -1 if none. Filled row by row: a ``maximum.accumulate`` over
+    the bin axis costs as much on a small sheet and 2 to 3 times more on a
+    32x32 one."""
+    n = raster.shape[0]
+    out = np.full((hi - lo,) + raster.shape[1:], -1, dtype=np.int32)
+    for t in range(1, min(hi, n + 1)):
+        out[t - lo] = out[t - 1 - lo]
+        out[t - lo][raster[t - 1]] = t - 1
+    if hi > n + 1:
+        out[n + 1 - lo :] = out[n - lo]
+    return out
+
+
 def _conv_pair_deltas(net: Network, frames: np.ndarray, spikes: np.ndarray):
     """Sum the unsupervised rule kernels over the pairs of every
     position-specific conv synapse, then average each shared kernel tap over
-    the positions so the shared kernels stay exactly shared. Maps pair one
-    at a time, so only one map's pairs are held in memory."""
+    the positions so the shared kernels stay exactly shared.
+
+    Every bin of every input pixel and conv unit is known, so two tables of
+    :func:`_latest_before`, built once per presentation, answer the pairing
+    rule's two questions by gathers: last_pre(t) of each pixel and
+    prev_post(t) of each unit of every map. Delays are shared per tap, so
+    the anti-causal index, every synapse with every emission bin of its
+    pixel, is the same for all maps and is built once too.
+
+    Per map, the causal pairs by tap, unit and post bin, then the
+    anti-causal pairs by tap, unit and pre bin, are the pairs that
+    :func:`~chronospike.plasticity.nearest_pairs` gives for the map's
+    synapses, in its order (synapse ``s`` is tap ``s // n_pos``, unit
+    ``s % n_pos``). So each tap's ``np.bincount`` adds the same terms in
+    the same order, and the sums are bit for bit those of pairing each map
+    with ``nearest_pairs``. Maps pair one at a time: beyond the tables and
+    the index, only one map's pairs are held in memory, where gathering all
+    maps at once would hold every map's. On a 32x32 sheet with the preset's
+    16 maps a call peaks near 13 MiB; a test holds it under 32 MiB.
+    """
     par = net.cfg.plasticity
     st = net.cfg.topology.stride
+    n_maps = net.n_maps
     n_taps = net.conv_w[0].size
     n_pos = spikes[0, 0].size
+    n_units = n_maps * n_pos
+    t_in, t_tot = frames.shape[0], spikes.shape[0]
     # synapse (p, ky, kx, y, x) of a map joins input pixel (p, y*st+ky, x*st+kx) to its unit (y, x)
     p, ky, kx, y, x = np.indices(net.conv_w.shape[1:] + net.conv_hw).reshape(5, -1)
     pre_of = np.ravel_multi_index((p, y * st + ky, x * st + kx), frames.shape[1:])
-    post_of = np.ravel_multi_index((y, x), net.conv_hw)
-    tap = np.repeat(np.arange(n_taps), n_pos)
-    pre_t, pre_n = np.nonzero(frames.reshape(frames.shape[0], -1))
-    dint = pl.delay_bins(net.conv_d, par).reshape(net.n_maps, n_taps)
-    dw = np.zeros((net.n_maps, n_taps))
-    dd = np.zeros((net.n_maps, n_taps))
-    for m in range(net.n_maps):
-        post_t, post_n = np.nonzero(spikes[:, m].reshape(spikes.shape[0], -1))
-        syn, t_pre, t_post = pl.nearest_pairs(pre_t, pre_n, post_t, post_n, pre_of, post_of, dint[m, tap])
-        tm = tap[syn]
+    raster = frames.reshape(t_in, -1) != 0
+    n_pix = raster.shape[1]
+    post = spikes.reshape(t_tot, n_units)
+    dint = pl.delay_bins(net.conv_d, par).reshape(n_maps, n_taps)
+    k_max = int(dint.max())
+    # last_pre(t) is row t + 1 + k_max, t in [-k_max, t_tot); prev_post(t) is row t, t in [0, t_in + k_max)
+    last_pre = _latest_before(raster, -k_max, t_tot + 1).ravel()
+    prev_post = _latest_before(post, 0, t_in + k_max).ravel()
+    # post spikes by map, unit, then bin
+    p_unit, p_t = np.divmod(np.flatnonzero(post.T), t_tot)
+    p_lo = np.searchsorted(p_unit, np.arange(n_maps + 1) * n_pos)
+    # anti-causal index: each synapse with each emission bin u of its pixel, by synapse then u
+    ev_pix, ev_t = np.divmod(np.flatnonzero(raster.T), t_in)
+    n_ev = np.bincount(ev_pix, minlength=n_pix)
+    n_syn = n_ev[pre_of]
+    a_syn = np.repeat(np.arange(pre_of.size), n_syn)
+    first = (np.cumsum(n_ev) - n_ev)[pre_of]  # each synapse's first event in ev_t
+    a_u = ev_t[np.arange(a_syn.size) + np.repeat(first - np.cumsum(n_syn) + n_syn, n_syn)]
+    a_tap, a_unit = np.divmod(a_syn, n_pos)
+    # prev_post(u + k) of map m is at a_at + a_at_map[m, a_tap]
+    a_at = a_u * n_units + a_unit
+    a_at_map = dint * n_units + np.arange(n_maps)[:, None] * n_pos
+    pre_of = pre_of.reshape(n_taps, n_pos)
+    none = np.empty(0, np.int64)
+    dw = np.zeros((n_maps, n_taps))
+    dd = np.zeros((n_maps, n_taps))
+    for m in range(n_maps):
+        k = dint[m]
+        unit, t_post = p_unit[p_lo[m] : p_lo[m + 1]] - m * n_pos, p_t[p_lo[m] : p_lo[m + 1]]
+        if t_post.size == 0:  # a map that never fires has no pairs
+            tm, t_pre, t_pair = none, none, none
+        else:
+            # causal: last_pre(t_post - k) for each tap and post spike
+            c_pre = last_pre[(t_post + 1 + k_max - k[:, None]) * n_pix + pre_of[:, unit]]
+            c = np.flatnonzero(c_pre >= 0)
+            c_tap, c_col = np.divmod(c, t_post.size)
+            # anti-causal: prev_post(u + k) for each synapse and pre spike
+            a_post = prev_post[a_at + a_at_map[m, a_tap]]
+            a = np.flatnonzero(a_post >= 0)
+            tm = np.concatenate([c_tap, a_tap[a]])
+            # bins as the floats the rules compute with, converted exactly in one pass
+            t_pre = np.concatenate([c_pre.ravel()[c], a_u[a]], dtype=float)
+            t_pair = np.concatenate([t_post[c_col], a_post[a]], dtype=float)
         d = net.conv_d[m].ravel()[tm]
-        dw[m] = np.bincount(tm, pl.stdp_weight_delta(t_pre, t_post, d, par), n_taps)
-        dd[m] = np.bincount(tm, pl.unsupervised_delay_delta(t_pre, t_post, d, par), n_taps)
+        dw[m] = np.bincount(tm, pl.stdp_weight_delta(t_pre, t_pair, d, par), n_taps)
+        dd[m] = np.bincount(tm, pl.unsupervised_delay_delta(t_pre, t_pair, d, par), n_taps)
     return dw.reshape(net.conv_w.shape) / n_pos, dd.reshape(net.conv_d.shape) / n_pos
 
 

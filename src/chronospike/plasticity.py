@@ -12,7 +12,12 @@ synapse of delay d are
     causal:       dt = t_post - last_pre(t_post - k) - d   for each post spike
     anti-causal:  dt = prev_post(u + k) - u - d             for each pre spike u
 
-:func:`nearest_pairs` gives them for many synapses in one call.
+Both layers pair by these two identities. Layer 1 knows every bin of every
+input pixel and conv unit, so it holds last_pre and prev_post as dense
+tables over bins and gathers from them
+(:func:`chronospike.harness._conv_pair_deltas`). The decision layer's
+spikes are few, so :func:`nearest_pairs` answers the same questions from
+sorted spike keys, for many synapses in one call.
 
 Each rule is a pure function of (pre, post) spike pairs on one synapse,
 ``(t_pre, t_post, d, p)``. The timing argument is the emission-time
@@ -80,8 +85,9 @@ def _ret(x):
 
 def _two_sided(dt, a_c, tau_c, a_a, tau_a):
     """The one kernel of the three rules: ``a_c * exp(-dt/tau_c)`` for
-    dt >= 0 and ``-a_a * exp(dt/tau_a)`` below."""
-    return _ret(np.where(dt >= 0.0, a_c * np.exp(-dt / tau_c), -a_a * np.exp(dt / tau_a)))
+    dt >= 0 and ``-a_a * exp(dt/tau_a)`` below, one ``exp`` per element."""
+    c = dt >= 0.0
+    return _ret(np.where(c, a_c, -a_a) * np.exp(np.where(c, -dt / tau_c, dt / tau_a)))
 
 
 def _dt(t_pre, t_post, d):
@@ -116,7 +122,8 @@ def inhibitory_delay_delta(t_pre, t_post, d, p: PlasticityParams):
 
 def nearest_pairs(pre_t, pre_n, post_t, post_n, syn_pre, syn_post, syn_k):
     """The pairs of the pairing rule (see the module docstring) on many
-    synapses at once.
+    synapses at once, from sorted spike keys: the decision layer's pairing,
+    where a dense table of every bin would be mostly empty.
 
     Spikes are events: pre neuron ``pre_n[i]`` emits at bin ``pre_t[i]``
     and post neuron ``post_n[i]`` at bin ``post_t[i]``, each neuron at most

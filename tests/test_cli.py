@@ -759,6 +759,13 @@ INPUT_PROBES = {
         "embedded_delays[0]",
     ),
     "config edge [[p, y, x], lag]": (lambda tmp, ws: _config_with_spec(tmp, ws, _bad_edge), "embedded_delays[0]"),
+    "spec n_classes \"3\"": (
+        lambda tmp, ws: [
+            "ingest", "--synthetic", str(_spec_file(tmp, ws, lambda s: s.update(n_classes="3"))),
+            "--output", str(tmp / "x.cspk"),
+        ],
+        "n_classes",
+    ),
     "config not UTF-8": (
         lambda tmp, ws: ["train", "--config", str(_write(tmp / "cfg.json", b"{\xff}")), "--out", str(tmp / "t")],
         "cfg.json",

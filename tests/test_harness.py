@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,13 +21,14 @@ from test_plasticity import (
     ref_weight,
 )
 
-from chronospike import gen_synthetic
+from chronospike import gen_synthetic, moving_bars_spec
 from chronospike.config import LIFParams, PlasticityParams
 from chronospike.core import DelayOutOfRange, lif_integrate
 from chronospike.harness import (
     _apply_decision_plasticity,
     _apply_neuron_gain,
     _conv_pair_deltas,
+    _conv_sim,
     _decision_pair_deltas,
     FLUSH_FACTOR,
     _decision_sim,
@@ -42,7 +44,14 @@ from chronospike.harness import (
     train_layer1,
     train_layer2,
 )
-from chronospike.plasticity import LATERAL_DELAY_FLOOR, delay_bins
+from chronospike.plasticity import (
+    LATERAL_DELAY_FLOOR,
+    delay_bins,
+    nearest_pairs,
+    stdp_weight_delta,
+    unsupervised_delay_delta,
+)
+from chronospike.presets import moving_bars_acceptance_config
 from chronospike.regulation import DecentralizeGate
 from chronospike.topology import build_network, layer1_hash, state_hash
 
@@ -829,3 +838,123 @@ def test_lateral_domain_matches_old_inh_rule_edges(shared):
     assert inh.any() != shared
     assert (lo[inh] == par.w_inh_min).all() and (hi[inh] == 0.0).all()
     assert (lo[~inh] == 0.0).all() and (hi[~inh] == par.w_max).all()
+
+
+# -- conv pair deltas from latest-spike tables ------------------------------------
+#
+# ``_conv_pair_deltas`` as it stood when it paired each map with one sorted-key
+# ``nearest_pairs`` call, kept verbatim as the reference for bit-identity.
+
+
+def old_conv_pair_deltas(net, frames: np.ndarray, spikes: np.ndarray):
+    par = net.cfg.plasticity
+    st = net.cfg.topology.stride
+    n_taps = net.conv_w[0].size
+    n_pos = spikes[0, 0].size
+    # synapse (p, ky, kx, y, x) of a map joins input pixel (p, y*st+ky, x*st+kx) to its unit (y, x)
+    p, ky, kx, y, x = np.indices(net.conv_w.shape[1:] + net.conv_hw).reshape(5, -1)
+    pre_of = np.ravel_multi_index((p, y * st + ky, x * st + kx), frames.shape[1:])
+    post_of = np.ravel_multi_index((y, x), net.conv_hw)
+    tap = np.repeat(np.arange(n_taps), n_pos)
+    pre_t, pre_n = np.nonzero(frames.reshape(frames.shape[0], -1))
+    dint = delay_bins(net.conv_d, par).reshape(net.n_maps, n_taps)
+    dw = np.zeros((net.n_maps, n_taps))
+    dd = np.zeros((net.n_maps, n_taps))
+    for m in range(net.n_maps):
+        post_t, post_n = np.nonzero(spikes[:, m].reshape(spikes.shape[0], -1))
+        syn, t_pre, t_post = nearest_pairs(pre_t, pre_n, post_t, post_n, pre_of, post_of, dint[m, tap])
+        tm = tap[syn]
+        d = net.conv_d[m].ravel()[tm]
+        dw[m] = np.bincount(tm, stdp_weight_delta(t_pre, t_post, d, par), n_taps)
+        dd[m] = np.bincount(tm, unsupervised_delay_delta(t_pre, t_post, d, par), n_taps)
+    return dw.reshape(net.conv_w.shape) / n_pos, dd.reshape(net.conv_d.shape) / n_pos
+
+
+def _assert_same_conv_deltas(net, frames, spikes):
+    got = _conv_pair_deltas(net, frames, spikes)
+    want = old_conv_pair_deltas(net, frames, spikes)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_conv_pair_deltas_match_old_on_preset_training(seed):
+    """Preset samples, with the kernels moving by ``_step`` between calls as
+    in phase 1."""
+    cfg = moving_bars_acceptance_config(seed, synthetic_train_per_class=2)
+    samples = samples_for(cfg)
+    net = build_network(cfg, samples[0].frames.shape[1:])
+    par = cfg.plasticity
+    every = np.ones(net.n_maps, dtype=bool)
+    calls = 0
+    for s in samples:
+        spikes, _first = _conv_sim(net, s.frames)
+        if spikes.any():
+            dw, dd = _assert_same_conv_deltas(net, s.frames, spikes)
+            assert dw.any() and dd.any()
+            _step(net.conv_w, net.conv_d, every, dw, dd, 0.0, par.w_max, 0.0, ~net.conv_frozen, par, True)
+            calls += 1
+    assert calls == len(samples)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_conv_pair_deltas_match_old_on_stride_2(seed):
+    top = dataclasses.replace(tiny_cfg().topology, stride=2, pool=(1, 1))
+    net = build_network(tiny_cfg(topology=top), (2, 8, 7))
+    par = net.cfg.plasticity
+    rng = np.random.default_rng(seed)
+    net.conv_d[:] = rng.uniform(0.0, par.d_max, net.conv_d.shape)
+    t_in = 20
+    frames = (rng.random((t_in, 2, 8, 7)) < 0.15).astype(np.uint8)
+    spikes = rng.random((t_in + int(round(par.d_max)) + 1, net.n_maps) + net.conv_hw) < 0.1
+    dw, _dd = _assert_same_conv_deltas(net, frames, spikes)
+    assert (dw != 0.0).all()
+
+
+def test_conv_pair_deltas_match_old_at_the_edges():
+    """Bins 0 and t_tot - 1, delay 0, a silent map, post spikes before any
+    arrival and a pixel that fires in consecutive bins."""
+    net = build_network(tiny_cfg(), (2, 6, 6))
+    par = net.cfg.plasticity
+    t_in = 12
+    t_tot = t_in + int(round(par.d_max)) + 1
+    net.conv_d[0] = 0.0  # map 0: every tap at delay 0
+    net.conv_d[1] = par.d_max  # map 1: the longest delay
+    frames = np.zeros((t_in, 2, 6, 6), np.uint8)
+    frames[0, 0, 0, 0] = 1  # a pre spike at bin 0, delivered at bin 0 on map 0
+    frames[3:7, 1, 2, 2] = 1  # consecutive bins
+    frames[t_in - 1, 0, 5, 5] = 1
+    spikes = np.zeros((t_tot, net.n_maps) + net.conv_hw, bool)
+    spikes[0, 0, 0, 0] = True  # pairs with the bin-0 arrival through delay 0
+    spikes[t_tot - 1, 0, 3, 3] = True
+    spikes[[1, 2, 5, t_tot - 1], 1, 1, 1] = True  # bins 1 and 2 come before any arrival on map 1
+    # map 2 never fires
+    spikes[[4, 6, 9], 3, 2, 2] = True
+    _assert_same_conv_deltas(net, frames, spikes)
+    # one map at a time: each of the cases above on its own
+    for m in range(net.n_maps):
+        alone = np.zeros_like(spikes)
+        alone[:, m] = spikes[:, m]
+        dw, dd = _assert_same_conv_deltas(net, frames, alone)
+        assert (m == 2) == (not dw.any() and not dd.any())
+
+
+def test_conv_pair_deltas_memory_stays_one_map_at_a_time():
+    """A sensor-sized sheet (32x32 moving bars, the preset constants, 4x4
+    pooling): one call stays under a fixed ceiling that pairing all maps at
+    once would pass several times over."""
+    spec = moving_bars_spec(grid=(32, 32), pattern_length=50, noise_rate=0.01, seed=0, step_bins=1)
+    base = moving_bars_acceptance_config(0)
+    cfg = moving_bars_acceptance_config(0, synthetic=spec, topology=dataclasses.replace(base.topology, pool=(4, 4)))
+    frames = gen_synthetic(spec, 1)[0].frames
+    net = build_network(cfg, frames.shape[1:])
+    spikes, _first = _conv_sim(net, frames)
+    assert spikes.sum() > 1000
+    tracemalloc.start()
+    try:
+        _conv_pair_deltas(net, frames, spikes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
