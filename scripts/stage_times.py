@@ -19,7 +19,9 @@ Two rows, each run three times in this process:
 Each repeat records the wall time of each phase, and the calls and mean
 milliseconds per call of the stages below, timed by wrappers on the
 harness's module globals (times are inclusive: ``_conv_sim`` contains
-``conv_forward_currents``). The file also holds each repeat's
+``conv_forward_currents``). Pooling (``pool_earliest``) and the decision
+layer's regulation (``_apply_decision_plasticity``, ``_apply_neuron_gain``)
+are timed with them. The file also holds each repeat's
 ``state_hash`` and accuracy, the host's load average before and after, and
 the Python and numpy versions, so a speed-up that changes behaviour shows in
 the same file. Compare two files only when they come from the same host.
@@ -46,8 +48,12 @@ import numpy as np  # noqa: E402
 from chronospike import gen_synthetic, harness, moving_bars_spec, state_hash  # noqa: E402
 from chronospike.presets import moving_bars_acceptance_config  # noqa: E402
 
-#: Per-call stages, as names in the harness module.
-STAGES = ("_conv_pair_deltas", "_conv_sim", "conv_forward_currents", "_decision_sim", "_decision_pair_deltas")
+#: Per-call stages, as names in the harness module: the conv sheet, pooling,
+#: the decision layer and its regulation.
+STAGES = (
+    "_conv_pair_deltas", "_conv_sim", "conv_forward_currents", "pool_earliest", "_decision_sim",
+    "_decision_pair_deltas", "_apply_decision_plasticity", "_apply_neuron_gain",
+)
 #: Phases, timed once per call.
 PHASES = ("train_layer1", "build_pooled_cache", "train_layer2", "evaluate")
 #: Runs of each row: preset wall time drifts by a quarter between runs on a

@@ -14,9 +14,12 @@ input problem (missing or malformed files, bad config keys or values, empty
 datasets, a dataset of another frame shape than the checkpoint's), 3 state
 mismatch (checkpoint format, version, stored config or config hash
 conflicts), 4 training finished without delay convergence (all results are
-still written). Input faults are the named errors of ``_INPUT_ERRORS``; any
-other exception, a bare ``ValueError`` included, is a fault of the program
-and propagates.
+still written). Input faults are the named errors of ``_INPUT_ERRORS``:
+``ConfigError`` (a config, override or spec field), ``InvalidSpec`` (a
+synthetic spec's edges), ``DatasetFormatError``, ``DecodeError``,
+``IngestError`` and ``UnknownSubject`` (datasets and recordings), and the
+file-system errors of a missing or misplaced path. Any other exception, a
+bare ``ValueError`` included, is a fault of the program and propagates.
 """
 
 from __future__ import annotations
@@ -51,9 +54,8 @@ from .events import (
     split_dataset,
 )
 from .harness import TrainResult, evaluate, frames_sweep, train, write_spikes_csv
-from .synthetic import InvalidSpec, gen_synthetic, oracle_accuracy, validate_spec
+from .synthetic import InvalidSpec, gen_synthetic, oracle_accuracy
 from .topology import (
-    InvalidConfig,
     StateError,
     export_kernels,
     load_checkpoint,
@@ -68,7 +70,6 @@ EXIT_NO_CONVERGENCE = 4
 
 _INPUT_ERRORS = (
     ConfigError,
-    InvalidConfig,
     InvalidSpec,
     DatasetFormatError,
     DecodeError,
@@ -102,7 +103,6 @@ def _fail(message: str, code: int) -> int:
 def _load_data(cfg: RunConfig):
     """Training and test samples from whichever source the config names."""
     if cfg.synthetic is not None:
-        validate_spec(cfg.synthetic)
         train_s = gen_synthetic(cfg.synthetic, cfg.synthetic_train_per_class, seed_offset=0)
         test_s = gen_synthetic(cfg.synthetic, cfg.synthetic_test_per_class, seed_offset=1)
         return train_s, test_s
@@ -151,7 +151,6 @@ def cmd_ingest(args) -> int:
             spec = SyntheticSpec.from_dict(json.loads(Path(args.synthetic).read_text()))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             return _fail(f"spec file {args.synthetic} is not valid UTF-8 JSON: {e}", EXIT_INPUT)
-        validate_spec(spec)
         train_s = gen_synthetic(spec, args.train_per_class, seed_offset=0)
         save_dataset(args.output, train_s, meta={"source": "synthetic"})
         report.update(

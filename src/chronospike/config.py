@@ -1,22 +1,25 @@
 """Configuration records for the delay-learning spiking network stack.
 
-Every tunable constant lives in one of the frozen dataclasses below. A run
-is fully described by a :class:`RunConfig`, which serializes to JSON and
-back without loss; unknown keys are rejected so that a config file cannot
+Every tunable constant lives in one of the frozen records below. A run is
+fully described by a :class:`RunConfig`, which serializes to JSON and back
+without loss; unknown keys are rejected so that a config file cannot
 silently drift from the code, and retired ones are migrated (see
-:data:`RETIRED_FIELDS`). CLI flags overlay a loaded config through
-:func:`apply_overrides`, and :func:`config_hash` gives the digest that all
-output artifacts embed.
+:data:`RETIRED_FIELDS`). Each field states its own bound (:func:`bounded`),
+and a record checks each field's type and bound however it is built.
+CLI flags overlay a loaded config through :func:`apply_overrides`, and
+:func:`config_hash` gives the digest that all output artifacts embed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import numbers
 import operator
+import typing
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -63,56 +66,44 @@ RETIRED_FIELDS: dict[tuple[str, str], bool | int | None] = {
     ("harness", "flush_factor"): 4,
 }
 
-#: Time constants, as (section, name): the leak and the rule kernels divide
-#: by them, so each must be positive.
-POSITIVE_FIELDS = {
-    ("lif", "tau_m"),
-    ("plasticity", "tau_plus"),
-    ("plasticity", "tau_minus"),
-    ("plasticity", "sigma_plus"),
-    ("plasticity", "sigma_minus"),
-}
 
-#: Least allowed value of a field, as (section, name). Every int field is
-#: listed but ``topology.n_classes``, ``n_per_class`` and ``stride``, which
-#: the network checks when it is built.
-MINIMA = {
-    ("", "seed"): 0,
-    ("", "synthetic_train_per_class"): 1,
-    ("", "synthetic_test_per_class"): 1,
-    ("lif", "t_ref"): 0,
-    ("topology", "n_maps"): 1,
-    ("plasticity", "d_max"): 0,
-    ("regulation", "dc_upper"): 1,
-    ("regulation", "activity_window"): 1,
-    ("regulation", "long_window"): 1,
-    ("regulation", "decision_window_per_class"): 1,
-    ("harness", "max_epochs_l1"): 0,
-    ("harness", "max_epochs_l2"): 0,
-    ("harness", "freeze_window"): 0,
-    ("synthetic", "n_classes"): 1,
-    ("synthetic", "pattern_length"): 1,
-    ("synthetic", "seed"): 0,
-}
+def bounded(default=dataclasses.MISSING, **bound) -> Any:
+    """A field with ``default`` whose value (each entry, for a tuple) must
+    lie within ``bound``: ``min`` (at least), ``max`` (at most), ``below``
+    (less than), ``positive`` (above 0) or ``choices`` (one of them). A
+    ``check`` replaces the test its type implies (see :func:`_kind`)."""
+    return field(default=default, metadata=bound)
 
 
-@dataclass(frozen=True)
+def _record(section: str):
+    """Class decorator: a frozen dataclass that runs :func:`_check` on
+    itself when built, naming its fields ``section.field``."""
+
+    def make(cls):
+        cls.__post_init__ = lambda self: _check(self, section)
+        return dataclass(frozen=True)(cls)
+
+    return make
+
+
+@_record("lif")
 class LIFParams:
     """Leaky integrate-and-fire constants, shared by both layers.
 
     Time is measured in input frame bins; the simulation advances one bin
-    per step, so ``tau_m`` is a decay horizon in bins. ``theta_floor`` and
-    ``theta_ceil`` bound the adaptive threshold.
+    per step, so ``tau_m`` is a decay horizon in bins; the leak divides by
+    it. ``theta_floor`` and ``theta_ceil`` bound the adaptive threshold.
+    Each field states its own bound.
     """
 
-    tau_m: float = 10.0
-    t_ref: int = 1
+    tau_m: float = bounded(10.0, positive=True)
+    t_ref: int = bounded(1, min=0)
     v_reset: float = 0.0
     theta_floor: float = 0.1
     theta_ceil: float = 10.0
 
 
-@dataclass(frozen=True)
+@_record("topology")
 class TopologyParams:
     """Shape of the two-layer network.
 
@@ -122,17 +113,18 @@ class TopologyParams:
     ``n_classes * n_per_class`` neurons, densely connected from the pooled
     units and sparsely connected among themselves with probability ``p_lat``.
     Roughly ``inh_fraction`` of the decision neurons are tagged inhibitory;
-    their outgoing lateral weights stay at or below zero.
+    their outgoing lateral weights stay at or below zero. Each field states
+    its own bound; the network checks that kernel and pool fit its input.
     """
 
-    n_maps: int = 16
-    kernel: tuple[int, int] = (5, 5)
-    stride: int = 1
-    pool: tuple[int, int] = (4, 4)
-    n_classes: int = 10
-    n_per_class: int = 8
-    p_lat: float = 0.1
-    inh_fraction: float = 0.2
+    n_maps: int = bounded(16, min=1)
+    kernel: tuple[int, int] = bounded((5, 5), min=1)
+    stride: int = bounded(1, min=1)
+    pool: tuple[int, int] = bounded((4, 4), min=1)
+    n_classes: int = bounded(10, min=2)
+    n_per_class: int = bounded(8, min=1)
+    p_lat: float = bounded(0.1, min=0, max=1)
+    inh_fraction: float = bounded(0.2, min=0, max=1)
     conv_theta: float = 1.0
     decision_theta: float = 1.0
     w_conv_init: tuple[float, float] = (0.3, 0.7)
@@ -140,33 +132,34 @@ class TopologyParams:
     w_lateral_init: tuple[float, float] = (0.1, 0.4)
 
 
-@dataclass(frozen=True)
+@_record("plasticity")
 class PlasticityParams:
     """Constants of the six spike-pair update rules plus parameter bounds.
 
     ``a_plus``/``a_minus`` with ``tau_plus``/``tau_minus`` shape the weight
     kernels; ``b_plus``/``b_minus`` with ``sigma_plus``/``sigma_minus`` shape
-    the delay kernels. ``epsilon`` is the target arrival lead: the excitatory
-    delay rule moves each delay toward (post - pre - epsilon). Excitatory
-    weights live in [0, w_max], inhibitory in [w_inh_min, 0], delays in
-    [0, d_max].
+    the delay kernels, and the kernels divide by those four time constants.
+    ``epsilon`` is the target arrival lead: the excitatory delay rule moves
+    each delay toward (post - pre - epsilon). Excitatory weights live in
+    [0, w_max], inhibitory in [w_inh_min, 0], delays in [0, d_max]. Each
+    field states its own bound.
     """
 
     a_plus: float = 0.05
     a_minus: float = 0.05
-    tau_plus: float = 5.0
-    tau_minus: float = 5.0
+    tau_plus: float = bounded(5.0, positive=True)
+    tau_minus: float = bounded(5.0, positive=True)
     b_plus: float = 0.1
     b_minus: float = 0.1
-    sigma_plus: float = 5.0
-    sigma_minus: float = 5.0
+    sigma_plus: float = bounded(5.0, positive=True)
+    sigma_minus: float = bounded(5.0, positive=True)
     epsilon: float = 1.0
     w_max: float = 1.0
     w_inh_min: float = -1.0
-    d_max: float = 20.0
+    d_max: float = bounded(20.0, min=0)
 
 
-@dataclass(frozen=True)
+@_record("regulation")
 class RegulationParams:
     """Constants of the four regulation mechanisms.
 
@@ -177,6 +170,7 @@ class RegulationParams:
     and ``lambda_d``. Decision balance is tracked over a sliding window of
     ``decision_window_per_class * n_classes`` decided presentations. At most
     ``dc_upper`` neurons per class group may emit during one presentation.
+    Each field states its own bound.
     """
 
     r_min: float = 1.0
@@ -187,13 +181,13 @@ class RegulationParams:
     lambda_d: float = 0.1
     theta_inc: float = 0.02
     theta_dec: float = 0.02
-    dc_upper: int = 2
-    activity_window: int = 20
-    long_window: int = 100
-    decision_window_per_class: int = 10
+    dc_upper: int = bounded(2, min=1)
+    activity_window: int = bounded(20, min=1)
+    long_window: int = bounded(100, min=1)
+    decision_window_per_class: int = bounded(10, min=1)
 
 
-@dataclass(frozen=True)
+@_record("harness")
 class HarnessParams:
     """Training loop constants.
 
@@ -202,61 +196,26 @@ class HarnessParams:
     the moving average of its mean absolute per-presentation delay change
     stays below ``freeze_scale * d_max`` after at least ``freeze_window``
     observations. Each epoch presents the samples in an order drawn from the
-    network's RNG.
+    network's RNG. Each field states its own bound.
     """
 
     kappa: float = 0.05
     reward_clip: float = 1.0
-    max_epochs_l1: int = 20
-    max_epochs_l2: int = 30
+    max_epochs_l1: int = bounded(20, min=0)
+    max_epochs_l2: int = bounded(30, min=0)
     freeze_scale: float = 1e-3
-    freeze_window: int = 50
+    freeze_window: int = bounded(50, min=0)
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Generator description for labeled spatio-temporal spike patterns.
-
-    ``embedded_delays[k]`` lists the class-k structure as edges
-    ``((p, y, x), (p, y, x), lag)``: whenever the source cell spikes, the
-    target cell spikes ``lag`` bins later. Edges form a DAG; root cells fire
-    at a per-sample onset and times propagate along edges. ``noise_rate`` is
-    the per-cell per-bin probability of a spurious spike.
-    """
-
-    n_classes: int
-    pattern_length: int
-    grid: tuple[int, int]
-    embedded_delays: tuple[tuple[tuple[tuple[int, int, int], tuple[int, int, int], int], ...], ...]
-    noise_rate: float = 0.01
-    seed: int = 0
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SyntheticSpec":
-        """The spec ``data`` describes. A missing field, a ``grid`` that is
-        not a list of two entries, an edge that is not ``[[p, y, x],
-        [p, y, x], lag]`` of ints, or a field that fails the checks a
-        config's ``synthetic`` section gets (:func:`_check_numbers`) raises
-        :class:`ConfigError` naming it."""
-        _check_keys(cls, data)
-        required = (f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING)
-        missing = [name for name in required if name not in data]
-        if missing:
-            raise ConfigError(f"synthetic spec lacks {', '.join(missing)}")
-        kw = dict(data)
-        if not (isinstance(kw["grid"], (list, tuple)) and len(kw["grid"]) == 2):
-            raise ConfigError(f"synthetic.grid must be a list of two ints, got {kw['grid']!r}")
-        kw["grid"] = tuple(kw["grid"])
-        if not isinstance(kw["embedded_delays"], (list, tuple)):
-            raise ConfigError("synthetic.embedded_delays must be a list with one list of edges per class")
-        kw["embedded_delays"] = tuple(_edges(k, edges) for k, edges in enumerate(kw["embedded_delays"]))
-        spec = cls(**kw)
-        _check_section("synthetic", spec)
-        return spec
+def _class_edges(name: str, classes) -> tuple:
+    """``classes``, one list of edges per class, as tuples (see :func:`_edges`)."""
+    if not isinstance(classes, (list, tuple)):
+        raise ConfigError(f"{name} must be a list with one list of edges per class")
+    return tuple(_edges(f"{name}[{k}]", edges) for k, edges in enumerate(classes))
 
 
-def _edges(k: int, edges) -> tuple:
-    """Class ``k``'s edges as tuples. Raises :class:`ConfigError` unless each
+def _edges(name: str, edges) -> tuple:
+    """One class's edges as tuples. Raises :class:`ConfigError` unless each
     is ``[[p, y, x], [p, y, x], lag]`` of ints. A spec can hold thousands of
     edges and every checkpoint load reads them, so the checks map builtins
     over the edges rather than call Python per edge."""
@@ -270,11 +229,45 @@ def _edges(k: int, edges) -> tuple:
         types = set(map(type, chain.from_iterable(src))) | set(map(type, chain.from_iterable(tgt)))
         types |= set(map(type, lag))
     if out is None or not shapes <= {3} or not all(issubclass(t, numbers.Integral) and t is not bool for t in types):
-        raise ConfigError(f"synthetic.embedded_delays[{k}]: an edge is not [[p, y, x], [p, y, x], lag] of ints")
+        raise ConfigError(f"{name}: an edge is not [[p, y, x], [p, y, x], lag] of ints")
     return tuple(zip(src, tgt, map(int, lag)))
 
 
-@dataclass(frozen=True)
+@_record("synthetic")
+class SyntheticSpec:
+    """Generator description for labeled spatio-temporal spike patterns.
+
+    ``embedded_delays[k]`` lists the class-k structure as edges
+    ``((p, y, x), (p, y, x), lag)``: whenever the source cell spikes, the
+    target cell spikes ``lag`` bins later. Edges form a DAG; root cells fire
+    at a per-sample onset and times propagate along edges. ``noise_rate`` is
+    the per-cell per-bin probability of a spurious spike. Each field states
+    its own bound; :func:`synthetic.validate_spec` checks the edges' DAG.
+    """
+
+    n_classes: int = bounded(min=1)
+    pattern_length: int = bounded(min=1)
+    grid: tuple[int, int] = bounded(min=1)
+    embedded_delays: tuple[tuple[tuple[tuple[int, int, int], tuple[int, int, int], int], ...], ...] = bounded(
+        check=_class_edges
+    )
+    noise_rate: float = bounded(0.01, min=0, below=1)
+    seed: int = bounded(0, min=0)
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "SyntheticSpec":
+        """The spec ``data`` describes; a missing or bad field raises
+        :class:`ConfigError` naming it."""
+        return _from_dict(cls, data, "synthetic")
+
+
+def _mechanism_names(name: str, value) -> tuple:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(x, str) for x in value):
+        raise ConfigError(f"{name} must be a list of mechanism names, got {value!r}")
+    return tuple(value)
+
+
+@_record("")
 class RunConfig:
     """One experiment: data source, all constants, seed, and ablations.
 
@@ -283,39 +276,26 @@ class RunConfig:
     pathology ablation of the inhibitory rules: lateral edges from
     inhibitory neurons get the excitatory delay rule and the excitatory
     weight domain [0, w_max] instead of [w_inh_min, 0], so nothing keeps
-    them inhibitory once learning moves them.
+    them inhibitory once learning moves them. Each field states its own
+    bound; each section checks its own fields.
     """
 
-    seed: int = 0
+    seed: int = bounded(0, min=0)
     out_dir: str = "runs/out"
     train_data: str | None = None
     test_data: str | None = None
     synthetic: SyntheticSpec | None = None
-    synthetic_train_per_class: int = 50
-    synthetic_test_per_class: int = 20
+    synthetic_train_per_class: int = bounded(50, min=1)
+    synthetic_test_per_class: int = bounded(20, min=1)
     lif: LIFParams = field(default_factory=LIFParams)
     topology: TopologyParams = field(default_factory=TopologyParams)
     plasticity: PlasticityParams = field(default_factory=PlasticityParams)
     regulation: RegulationParams = field(default_factory=RegulationParams)
     harness: HarnessParams = field(default_factory=HarnessParams)
-    disabled: tuple[str, ...] = ()
+    disabled: tuple[str, ...] = bounded((), check=_mechanism_names, choices=DISABLE_CHOICES)
     inh_rules_shared: bool = False
-    delay_mode: str = "learned"
+    delay_mode: str = bounded("learned", choices=DELAY_MODES)
     fixed_delay_value: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "disabled", tuple(self.disabled))
-        for name in self.disabled:
-            if name not in DISABLE_CHOICES:
-                raise ConfigError(
-                    f"unknown mechanism in disabled: {name!r} "
-                    f"(choices: {', '.join(DISABLE_CHOICES)})"
-                )
-        if self.delay_mode not in DELAY_MODES:
-            raise ConfigError(
-                f"unknown delay_mode: {self.delay_mode!r} (choices: {', '.join(DELAY_MODES)})"
-            )
-        _check_numbers(self)
 
     def is_disabled(self, mechanism: str) -> bool:
         return mechanism in self.disabled
@@ -329,67 +309,104 @@ class RunConfig:
         """The config ``data`` describes, without :data:`RETIRED_FIELDS`; ``data`` is not modified."""
         _check_keys(cls, data)
         kw = dict(data)
-        sections = {
-            "lif": (LIFParams, ()),
-            "topology": (TopologyParams, ("kernel", "pool", "w_conv_init", "w_forward_init", "w_lateral_init")),
-            "plasticity": (PlasticityParams, ()),
-            "regulation": (RegulationParams, ()),
-            "harness": (HarnessParams, ()),
-        }
-        for name in (*sections, "synthetic"):
-            if name in kw and not isinstance(kw[name], dict) and not (name == "synthetic" and kw[name] is None):
-                raise ConfigError(f"{name} must be an object, got {kw[name]!r}")
-        disabled = kw.get("disabled", ())
-        if not isinstance(disabled, (list, tuple)) or not all(isinstance(x, str) for x in disabled):
-            raise ConfigError(f"disabled must be a list of mechanism names, got {disabled!r}")
         for (section, name), kept in RETIRED_FIELDS.items():
-            node = kw.get(section, {})
-            if name in node:
+            node = kw.get(section)
+            if isinstance(node, dict) and name in node:
                 if kept is not None and (type(node[name]) is not type(kept) or node[name] != kept):
                     raise ConfigError(
                         f"{section}.{name} is retired: only {json.dumps(kept)} is supported, got {node[name]!r}"
                     )
                 kw[section] = {k: v for k, v in node.items() if k != name}
-        for name, (section_cls, tuple_fields) in sections.items():
-            if name in kw:
-                kw[name] = _plain_from_dict(section_cls, kw[name], tuple_fields)
-        if kw.get("synthetic") is not None:
-            kw["synthetic"] = SyntheticSpec.from_dict(kw["synthetic"])
-        kw["disabled"] = tuple(disabled)
         return cls(**kw)
 
 
-def _check_numbers(cfg: RunConfig) -> None:
-    """Reject, naming the field, a float field of ``cfg`` or of one of its
-    sections that is not a finite number (or is a bool), an int field that
-    holds no int (or a bool), a time constant of :data:`POSITIVE_FIELDS`
-    that is not positive and a field below its entry in :data:`MINIMA`."""
-    _check_section("", cfg)
-    for f in dataclasses.fields(cfg):
-        obj = getattr(cfg, f.name)
-        if dataclasses.is_dataclass(obj):
-            _check_section(f.name, obj)
+#: The test a value of each scalar field type passes, and its name in errors.
+_SCALARS = {
+    float: (lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)
+            and (isinstance(x, int) or math.isfinite(x)), "a finite number"),
+    int: (lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool), "an integer"),
+    bool: (lambda x: isinstance(x, bool), "true or false"),
+    str: (lambda x: isinstance(x, str), "a string"),
+}
 
 
-def _check_section(section: str, obj) -> None:
-    """The checks of :func:`_check_numbers` on the fields of one dataclass,
-    named ``section.field`` (``field`` for the top-level section "")."""
-    for f in dataclasses.fields(obj):
-        v = getattr(obj, f.name)
-        name = f"{section}.{f.name}" if section else f.name
-        values = v if isinstance(v, tuple) and f.type.startswith("tuple") else (v,)
-        real = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values)
-        finite = all(not isinstance(x, float) or math.isfinite(x) for x in values)
-        if ("float" in f.type and not real) or not finite:
-            raise ConfigError(f"{name} must be a finite number, got {v!r}")
-        if f.type in ("int", "tuple[int, int]") and not all(
-            isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in values
-        ):
-            raise ConfigError(f"{name} must be an integer, got {v!r}")
-        if (section, f.name) in POSITIVE_FIELDS and not v > 0:
-            raise ConfigError(f"{name} must be positive, got {v!r}")
-        if (section, f.name) in MINIMA and not v >= MINIMA[section, f.name]:
-            raise ConfigError(f"{name} must be at least {MINIMA[section, f.name]}, got {v!r}")
+def _reject(message: str):
+    raise ConfigError(message)
+
+
+def _kind(hint):
+    """The check a field of type ``hint`` (a scalar, ``T | None``, ``tuple[T, T]``
+    or a record class) implies: a function of its dotted name and value that
+    returns the value, a list as a tuple and an object as a record."""
+    args = typing.get_args(hint)
+    if hint in _SCALARS:
+        test, noun = _SCALARS[hint]
+        return lambda name, v: v if test(v) else _reject(f"{name} must be {noun}, got {v!r}")
+    if type(None) in args:
+        (inner,) = (_kind(a) for a in args if a is not type(None))
+        return lambda name, v: v if v is None else inner(name, v)
+    if typing.get_origin(hint) is tuple:
+        items = [_kind(a) for a in args]
+
+        def pair(name, v):
+            if not isinstance(v, (list, tuple)) or len(v) != len(items):
+                raise ConfigError(f"{name} must be a list of {len(items)} entries, got {v!r}")
+            return tuple(item(name, x) for item, x in zip(items, v))
+
+        return pair
+
+    def record(name, v):
+        if isinstance(v, dict):
+            return _from_dict(hint, v, name)
+        return v if isinstance(v, hint) else _reject(f"{name} must be an object, got {v!r}")
+
+    return record
+
+
+@functools.cache
+def _plan(cls) -> tuple[tuple[str, Any, dict], ...]:
+    """(name, check, bound) of each field of record class ``cls``. Cached:
+    resolving a class's type hints costs far more than checking values."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, f.metadata.get("check") or _kind(hints[f.name]), {k: v for k, v in f.metadata.items() if k != "check"})
+        for f in dataclasses.fields(cls)
+    )
+
+
+def _check(obj, section: str) -> None:
+    """Check each field of record ``obj`` against its type and bound, naming
+    it ``section.field`` (``field`` at the top level "") in the
+    :class:`ConfigError`; lists are stored as tuples, objects as records."""
+    for name, check, bound in _plan(type(obj)):
+        path = f"{section}.{name}" if section else name
+        v = getattr(obj, name)
+        checked = check(path, v)
+        if checked is not v:
+            object.__setattr__(obj, name, checked)
+        if bound and checked is not None:
+            for x in checked if isinstance(checked, tuple) else (checked,):
+                if not _within(x, bound):
+                    raise ConfigError(f"{path} must be {_bound_text(bound)}, got {v!r}")
+
+
+def _within(x, bound: dict) -> bool:
+    if "choices" in bound:
+        return x in bound["choices"]
+    least = x > 0 if "positive" in bound else x >= bound["min"]
+    return least and x <= bound.get("max", x) and x < bound.get("below", math.inf)
+
+
+def _bound_text(bound: dict) -> str:
+    if "choices" in bound:
+        return "one of " + ", ".join(bound["choices"])
+    if "positive" in bound:
+        return "positive"
+    if "max" in bound:
+        return f"in [{bound['min']}, {bound['max']}]"
+    if "below" in bound:
+        return f"in [{bound['min']}, {bound['below']})"
+    return f"at least {bound['min']}"
 
 
 def _check_keys(cls, data: dict[str, Any]) -> None:
@@ -398,16 +415,17 @@ def _check_keys(cls, data: dict[str, Any]) -> None:
     allowed = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - allowed)
     if unknown:
-        raise ConfigError(f"unknown key(s) for {cls.__name__}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown key(s) for {cls.__name__}: {', '.join(map(repr, unknown))}")
 
 
-def _plain_from_dict(cls, data: dict[str, Any], tuple_fields=()):
+def _from_dict(cls, data: dict[str, Any], section: str):
+    """Record ``cls`` built from ``data``, which must hold every field
+    without a default and no other key."""
     _check_keys(cls, data)
-    kw = dict(data)
-    for name in tuple_fields:
-        if name in kw and kw[name] is not None:
-            kw[name] = tuple(kw[name])
-    return cls(**kw)
+    missing = [f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING and f.name not in data]
+    if missing:
+        raise ConfigError(f"{section} lacks {', '.join(missing)}")
+    return cls(**data)
 
 
 def to_dict(cfg) -> dict[str, Any]:

@@ -64,14 +64,12 @@ def class_span(spec: SyntheticSpec, label: int) -> int:
 
 
 def validate_spec(spec: SyntheticSpec) -> None:
-    if spec.n_classes < 1:
-        raise InvalidSpec("n_classes must be >= 1")
+    """Raise :class:`InvalidSpec` unless ``spec`` lists one DAG per class,
+    of cells on the grid, whose lags and spans fit ``pattern_length``."""
     if len(spec.embedded_delays) != spec.n_classes:
         raise InvalidSpec(
             f"embedded_delays lists {len(spec.embedded_delays)} classes, expected {spec.n_classes}"
         )
-    if not (0.0 <= spec.noise_rate < 1.0):
-        raise InvalidSpec("noise_rate must be in [0, 1)")
     h, w = spec.grid
     for k in range(spec.n_classes):
         for src, tgt, lag in spec.embedded_delays[k]:

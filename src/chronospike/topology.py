@@ -28,12 +28,6 @@ CHECKPOINT_VERSION = 1
 PHASES = ("layer1", "layer2", "eval")
 
 
-class InvalidConfig(ValueError):
-    def __init__(self, field_name: str, message: str):
-        self.field_name = field_name
-        super().__init__(f"{field_name}: {message}")
-
-
 class StateError(ValueError):
     """Checkpoint file does not match the expected format or config."""
 
@@ -42,21 +36,15 @@ def conv_output_shape(input_hw: tuple[int, int], kernel: tuple[int, int], stride
     h, w = input_hw
     kh, kw = kernel
     if kh > h or kw > w:
-        raise InvalidConfig("topology.kernel", f"kernel {kernel} larger than input {input_hw}")
-    if stride < 1:
-        raise InvalidConfig("topology.stride", "stride must be >= 1")
+        raise ConfigError(f"topology.kernel: kernel {kernel} larger than input {input_hw}")
     return (h - kh) // stride + 1, (w - kw) // stride + 1
 
 
 def pool_output_shape(conv_hw: tuple[int, int], pool: tuple[int, int]) -> tuple[int, int]:
     ch, cw = conv_hw
     ph, pw = pool
-    if ph < 1 or pw < 1:
-        raise InvalidConfig("topology.pool", "pool window must be >= 1")
     if ch % ph or cw % pw:
-        raise InvalidConfig(
-            "topology.pool", f"pool {pool} does not tile conv output {conv_hw}"
-        )
+        raise ConfigError(f"topology.pool: pool {pool} does not tile conv output {conv_hw}")
     return ch // ph, cw // pw
 
 
@@ -87,14 +75,6 @@ class Network:
         self.cfg = cfg
         self.input_shape = input_shape  # (P, H, W)
         top = cfg.topology
-        if top.n_classes < 2:
-            raise InvalidConfig("topology.n_classes", "need at least 2 classes")
-        if top.n_per_class < 1:
-            raise InvalidConfig("topology.n_per_class", "need at least 1 neuron per class")
-        if not (0.0 <= top.p_lat <= 1.0):
-            raise InvalidConfig("topology.p_lat", "connection probability outside [0, 1]")
-        if not (0.0 <= top.inh_fraction <= 1.0):
-            raise InvalidConfig("topology.inh_fraction", "fraction outside [0, 1]")
         p, h, w = input_shape
         self.conv_hw = conv_output_shape((h, w), top.kernel, top.stride)
         self.pool_hw = pool_output_shape(self.conv_hw, top.pool)
@@ -280,8 +260,9 @@ def load_checkpoint(path: str | Path) -> Network:
     Raises :class:`StateError` unless the file holds every field, its
     ``config_hash`` digests its stored config (as written, before retired
     fields are dropped), ``phase`` is known, every array has the shape and
-    dtype the config implies, float arrays are finite, and edge, class and
-    decision-window entries index existing neurons and classes. A stored
+    dtype the config implies, float arrays are finite, edge, class and
+    decision-window entries index existing neurons and classes, and the
+    decision window is no longer than the config keeps. A stored
     config that this code rejects, or that builds no network on
     ``input_shape``, is a :class:`StateError` too."""
     try:
@@ -305,7 +286,7 @@ def load_checkpoint(path: str | Path) -> Network:
         raise StateError(f"{path}: input_shape {shape!r} is not three positive integers")
     try:
         net = Network(RunConfig.from_dict(payload["config"]), tuple(shape))
-    except (ConfigError, InvalidConfig) as e:
+    except ConfigError as e:
         raise StateError(f"{path}: stored config does not describe a network: {e}")
     arrays = payload["arrays"]
     if not isinstance(arrays, dict):
@@ -326,8 +307,10 @@ def load_checkpoint(path: str | Path) -> Network:
         if a.size and (a.min() < 0 or a.max() >= bound):
             raise StateError(f"{path}: array {name} holds an index outside [0, {bound})")
     window = payload["decision_window"]
-    if not (isinstance(window, list) and all(type(c) is int and 0 <= c < net.n_classes for c in window)):
-        raise StateError(f"{path}: decision_window holds a value that is not a class index")
+    kept = net.decision_window.maxlen
+    if not (isinstance(window, list) and len(window) <= kept
+            and all(type(c) is int and 0 <= c < net.n_classes for c in window)):
+        raise StateError(f"{path}: decision_window is not a list of at most {kept} class indices")
     net.decision_window.clear()
     net.decision_window.extend(window)
     net.phase = payload["phase"]

@@ -1,14 +1,18 @@
 """End-to-end command line flows and exit codes, all in-process."""
 
 import base64
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from conftest import tiny_cfg
 from test_events import _write_recording
@@ -18,7 +22,7 @@ from chronospike.config import VARIANTS, canonical_json, config_hash, load_confi
 from chronospike.core import DelayBuffer, DelayOutOfRange
 from chronospike.events import FrameSequence, load_dataset, save_dataset
 from chronospike.harness import run_presentation, train
-from chronospike.topology import load_checkpoint, save_checkpoint
+from chronospike.topology import StateError, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -422,6 +426,11 @@ HOSTILE_CHECKPOINTS = {
     "config.lif 5": lambda p: _set_config(p, lambda c: c.update(lif=5)),
     "n_classes 1": lambda p: _set_config(p, lambda c: c["topology"].update(n_classes=1)),
     "input_shape [2, 2, 2] under a 3x3 kernel": lambda p: p.update(input_shape=[2, 2, 2]),
+    "kernel [5]": lambda p: _set_config(p, lambda c: c["topology"].update(kernel=[5])),
+    "kernel 5": lambda p: _set_config(p, lambda c: c["topology"].update(kernel=5)),
+    "w_forward_init [0.2]": lambda p: _set_config(p, lambda c: c["topology"].update(w_forward_init=[0.2])),
+    "decision_window of 37 in a window of 30": lambda p: p.update(decision_window=[0] * 37),
+    "config key with a newline": lambda p: _set_config(p, lambda c: c["topology"].update({"a\nb": 1})),
 }
 
 
@@ -437,6 +446,74 @@ def test_eval_rejects_hostile_checkpoint(ws, tmp_path, capsys, probe):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def _leaf_paths(node, path=()):
+    """Key paths of the leaves of JSON object ``node``: its values that are
+    not objects, lists included."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+_small_number = hst.integers(-3, 3) | hst.floats(-3, 3)
+#: Small JSON values of each kind but a bare number, whose size could ask for
+#: arbitrary memory (a ``d_max`` of 1e12 does).
+OTHER_KINDS = hst.one_of(
+    hst.text(max_size=3),
+    hst.booleans(),
+    hst.none(),
+    hst.lists(_small_number, min_size=1, max_size=1),
+    hst.lists(_small_number, min_size=3, max_size=3),
+    hst.dictionaries(hst.text(max_size=2), _small_number, max_size=2),
+)
+
+
+def _eval_mutant(ws, text: bytes) -> None:
+    """``eval`` of a checkpoint holding ``text`` ends in exit 3, or in 2 (the
+    dataset is missing) when the checkpoint loads; it prints one ``error:``
+    line, nothing on stdout, and raises nothing."""
+    bad = ws["root"] / "mutant.json"
+    bad.write_bytes(text)
+    try:
+        load_checkpoint(bad)
+        loads = True
+    except StateError:
+        loads = False
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["eval", "--checkpoint", str(bad), "--data", str(ws["root"] / "no-such.cspk")])
+    assert rc == (2 if loads else 3)
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=hst.data())
+def test_eval_fuzzed_config_leaf(ws, data):
+    """One leaf of the stored config replaced by a small value of any JSON
+    kind but a bare number, with ``config_hash`` recomputed to match."""
+    payload = json.loads((ws["out1"] / "checkpoint_final.json").read_text())
+    path = data.draw(hst.sampled_from(sorted(_leaf_paths(payload["config"]))))
+    node = payload["config"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(OTHER_KINDS)
+    payload["config_hash"] = hashlib.sha256(canonical_json(payload["config"]).encode()).hexdigest()
+    _eval_mutant(ws, json.dumps(payload).encode())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=hst.data())
+def test_eval_fuzzed_checkpoint_byte(ws, data):
+    """One byte of the checkpoint file changed to any other byte."""
+    text = bytearray((ws["out1"] / "checkpoint_final.json").read_bytes())
+    i = data.draw(hst.integers(0, len(text) - 1))
+    text[i] = data.draw(hst.integers(0, 255).filter(lambda b: b != text[i]))
+    _eval_mutant(ws, bytes(text))
 
 
 def test_eval_checkpoint_not_utf8_is_state_error(ws, tmp_path, capsys):
@@ -660,6 +737,9 @@ def test_ablate_rejects_non_finite_fixed_delay(ws, tmp_path, capsys, value):
         "plasticity.d_max=NaN", "lif.tau_m=0", "plasticity.tau_plus=NaN", "plasticity.sigma_minus=-1",
         'harness.max_epochs_l1="x"', "topology.n_maps=0", "lif.t_ref=-5", "plasticity.d_max=-3",
         "lif=5", "synthetic=5", 'disabled="homeo"',
+        "topology.kernel=5", "topology.kernel=[5]", "topology.kernel=[5, 5, 5]", "topology.kernel=[-1, 5]",
+        "topology.kernel=[0, 0]", "topology.pool=[2]", "topology.w_forward_init=[0.2]",
+        'inh_rules_shared="false"', "train_data=5", "out_dir=5",
     ],
 )
 def test_train_rejects_bad_numbers(ws, tmp_path, capsys, override):
@@ -765,6 +845,13 @@ INPUT_PROBES = {
             "--output", str(tmp / "x.cspk"),
         ],
         "n_classes",
+    ),
+    "spec grid [-1, 3]": (
+        lambda tmp, ws: [
+            "ingest", "--synthetic", str(_spec_file(tmp, ws, lambda s: s.update(grid=[-1, 3]))),
+            "--output", str(tmp / "x.cspk"),
+        ],
+        "synthetic.grid",
     ),
     "config not UTF-8": (
         lambda tmp, ws: ["train", "--config", str(_write(tmp / "cfg.json", b"{\xff}")), "--out", str(tmp / "t")],

@@ -10,9 +10,9 @@ import pytest
 from conftest import tiny_cfg
 
 from chronospike.config import (
-    MINIMA,
     ConfigError,
     RunConfig,
+    TopologyParams,
     apply_overrides,
     config_hash,
     load_config,
@@ -164,14 +164,65 @@ def test_every_int_field_must_hold_an_int():
             apply_overrides(tiny_cfg(), [f"{path}=[2, 2.0]"])
 
 
+def _bounds(obj, prefix=""):
+    """(dotted path, (bound, value)) of every field of ``obj`` and its
+    sections whose metadata states a bound, as ``config.bounded`` writes it."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _bounds(value, f"{prefix}{f.name}.")
+        elif f.metadata.keys() - {"check"}:
+            yield prefix + f.name, (dict(f.metadata), value)
+
+
+def _raw(value, like):
+    """``value`` as an override, in both entries when the field ``like`` is a pair."""
+    return f"[{value}, {value}]" if isinstance(like, tuple) else json.dumps(value)
+
+
 def test_minima_bound_every_int_field_the_network_does_not():
-    paths = {f"{section}.{name}" if section else name: least for (section, name), least in MINIMA.items()}
-    ints = set(dict(_int_fields(tiny_cfg())))
-    assert ints - set(paths) == {"topology.n_classes", "topology.n_per_class", "topology.stride"}
-    for path, least in paths.items():
-        apply_overrides(tiny_cfg(), [f"{path}={least}"])
+    """Every int field states its least value in its metadata, so none is
+    left for the network to check. The least value passes and one less
+    fails naming the field, for pairs such as the kernel too."""
+    cfg = tiny_cfg()
+    minima = {path: (b["min"], value) for path, (b, value) in _bounds(cfg) if b.keys() == {"min"}}
+    assert set(dict(_int_fields(cfg))) - set(minima) == set()
+    assert {"topology.n_classes", "topology.stride", "topology.kernel", "topology.pool", "synthetic.grid"} <= set(minima)
+    for path, (least, value) in minima.items():
+        apply_overrides(cfg, [f"{path}={_raw(least, value)}"])
         with pytest.raises(ConfigError, match=re.escape(f"{path} must be at least {least}")):
-            apply_overrides(tiny_cfg(), [f"{path}={least - 1}"])
+            apply_overrides(cfg, [f"{path}={_raw(least - 1, value)}"])
+
+
+def test_ranges_and_choices_are_bounds_of_their_fields():
+    cfg = tiny_cfg()
+    bounds = {path: b for path, (b, _value) in _bounds(cfg)}
+    ranged = {path for path, b in bounds.items() if {"max", "below"} & b.keys()}
+    assert ranged == {"topology.p_lat", "topology.inh_fraction", "synthetic.noise_rate"}
+    for path in ranged:
+        text = "in [0, 1)" if "below" in bounds[path] else "in [0, 1]"
+        apply_overrides(cfg, [f"{path}=0"])
+        for bad in ("-0.5", "1.5") + (("1",) if "below" in bounds[path] else ()):
+            with pytest.raises(ConfigError, match=re.escape(f"{path} must be {text}")):
+                apply_overrides(cfg, [f"{path}={bad}"])
+    assert {path for path, b in bounds.items() if "positive" in b} == {
+        "lif.tau_m", "plasticity.tau_plus", "plasticity.tau_minus", "plasticity.sigma_plus", "plasticity.sigma_minus"
+    }
+    for path, bad in (("delay_mode", '"x"'), ("disabled", '["homeo", "x"]')):
+        with pytest.raises(ConfigError, match=re.escape(f"{path} must be one of")):
+            apply_overrides(cfg, [f"{path}={bad}"])
+
+
+def test_records_check_themselves_however_built():
+    """A record built directly, not from a dict, gets the same checks, and
+    stores lists as tuples."""
+    with pytest.raises(ConfigError, match=re.escape("topology.kernel must be a list of 2 entries")):
+        TopologyParams(kernel=5)
+    with pytest.raises(ConfigError, match=re.escape("inh_rules_shared must be true or false")):
+        RunConfig(inh_rules_shared="false")
+    with pytest.raises(ConfigError, match=re.escape("lif must be an object")):
+        RunConfig(lif=5)
+    assert TopologyParams(kernel=[3, 3]).kernel == (3, 3)
 
 
 def test_to_dict_equals_asdict():

@@ -9,10 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from chronospike.config import PlasticityParams, RunConfig, TopologyParams, apply_variant, canonical_json, config_hash
+from chronospike.config import (
+    ConfigError,
+    PlasticityParams,
+    RunConfig,
+    TopologyParams,
+    apply_variant,
+    canonical_json,
+    config_hash,
+)
 from chronospike.core import lif_step
 from chronospike.topology import (
-    InvalidConfig,
     Network,
     StateError,
     build_network,
@@ -49,9 +56,9 @@ def test_output_shapes():
     assert conv_output_shape((20, 20), (5, 5), 1) == (16, 16)
     assert conv_output_shape((20, 20), (5, 5), 2) == (8, 8)
     assert pool_output_shape((16, 16), (4, 4)) == (4, 4)
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError):
         pool_output_shape((15, 16), (4, 4))  # does not tile
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError):
         conv_output_shape((4, 4), (5, 5), 1)  # kernel larger than input
 
 
@@ -108,14 +115,18 @@ def test_lateral_disable_and_zero_probability():
 
 
 def test_invalid_configs_rejected():
-    with pytest.raises(InvalidConfig):
+    """Bounds on one field fail when the config is built, the fit of kernel
+    and pool to an input shape when the network is; each names its field."""
+    with pytest.raises(ConfigError, match="topology.n_classes"):
         build_network(small_cfg(n_classes=1), (2, 10, 10))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match="topology.n_per_class"):
         build_network(small_cfg(n_per_class=0), (2, 10, 10))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match="topology.p_lat"):
         build_network(small_cfg(p_lat=1.5), (2, 10, 10))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match="topology.pool"):
         build_network(small_cfg(pool=(3, 2)), (2, 10, 10))  # 8 % 3 != 0
+    with pytest.raises(ConfigError, match="topology.kernel"):
+        build_network(small_cfg(), (2, 2, 10))  # a 3x3 kernel on 2 rows
 
 
 def test_build_deterministic_in_seed():
