@@ -225,44 +225,23 @@ def compute_reward(counts: np.ndarray, target: int, kappa: float, clip_val: floa
 # -- plasticity plumbing -----------------------------------------------------
 
 
-def _latest_before(raster: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Row ``t - lo``, for t in [lo, hi) with lo <= 0: per column of the
-    boolean ``raster`` (bins along axis 0), the latest bin before t in which
-    it spikes, -1 if none. Filled row by row: a ``maximum.accumulate`` over
-    the bin axis costs as much on a small sheet and 2 to 3 times more on a
-    32x32 one."""
-    n = raster.shape[0]
-    out = np.full((hi - lo,) + raster.shape[1:], -1, dtype=np.int32)
-    for t in range(1, min(hi, n + 1)):
-        out[t - lo] = out[t - 1 - lo]
-        out[t - lo][raster[t - 1]] = t - 1
-    if hi > n + 1:
-        out[n + 1 - lo :] = out[n - lo]
-    return out
-
-
 def _conv_pair_deltas(net: Network, frames: np.ndarray, spikes: np.ndarray):
     """Sum the unsupervised rule kernels over the pairs of every
     position-specific conv synapse, then average each shared kernel tap over
     the positions so the shared kernels stay exactly shared.
 
-    Every bin of every input pixel and conv unit is known, so two tables of
-    :func:`_latest_before`, built once per presentation, answer the pairing
-    rule's two questions by gathers: last_pre(t) of each pixel and
-    prev_post(t) of each unit of every map. Delays are shared per tap, so
-    the anti-causal index, every synapse with every emission bin of its
-    pixel, is the same for all maps and is built once too.
-
-    Per map, the causal pairs by tap, unit and post bin, then the
-    anti-causal pairs by tap, unit and pre bin, are the pairs that
-    :func:`~chronospike.plasticity.nearest_pairs` gives for the map's
-    synapses, in its order (synapse ``s`` is tap ``s // n_pos``, unit
-    ``s % n_pos``). So each tap's ``np.bincount`` adds the same terms in
-    the same order, and the sums are bit for bit those of pairing each map
-    with ``nearest_pairs``. Maps pair one at a time: beyond the tables and
-    the index, only one map's pairs are held in memory, where gathering all
-    maps at once would hold every map's. On a 32x32 sheet with the preset's
-    16 maps a call peaks near 13 MiB; a test holds it under 32 MiB.
+    Pairing gathers from the tables of
+    :func:`~chronospike.plasticity._latest_before`, built once per
+    presentation: last_pre(t) of each pixel and prev_post(t) of each unit of
+    every map. Delays are shared per tap, so the anti-causal index of
+    :func:`~chronospike.plasticity._synapse_spikes`, every synapse with
+    every emission bin of its pixel, serves all maps. Per map, the causal
+    pairs by tap, unit and post bin, then the anti-causal pairs by tap, unit
+    and pre bin, come in :func:`~chronospike.plasticity.nearest_pairs`'
+    order (synapse ``s`` is tap ``s // n_pos``, unit ``s % n_pos``), so each
+    tap's ``np.bincount`` adds the terms in that order. Maps pair one at a
+    time, so only one map's pairs are held in memory: on a 32x32 sheet with
+    the preset's 16 maps a call peaks near 13 MiB.
     """
     par = net.cfg.plasticity
     st = net.cfg.topology.stride
@@ -280,18 +259,13 @@ def _conv_pair_deltas(net: Network, frames: np.ndarray, spikes: np.ndarray):
     dint = pl.delay_bins(net.conv_d, par).reshape(n_maps, n_taps)
     k_max = int(dint.max())
     # last_pre(t) is row t + 1 + k_max, t in [-k_max, t_tot); prev_post(t) is row t, t in [0, t_in + k_max)
-    last_pre = _latest_before(raster, -k_max, t_tot + 1).ravel()
-    prev_post = _latest_before(post, 0, t_in + k_max).ravel()
+    last_pre = pl._latest_before(raster, -k_max, t_tot + 1).ravel()
+    prev_post = pl._latest_before(post, 0, t_in + k_max).ravel()
     # post spikes by map, unit, then bin
     p_unit, p_t = np.divmod(np.flatnonzero(post.T), t_tot)
     p_lo = np.searchsorted(p_unit, np.arange(n_maps + 1) * n_pos)
     # anti-causal index: each synapse with each emission bin u of its pixel, by synapse then u
-    ev_pix, ev_t = np.divmod(np.flatnonzero(raster.T), t_in)
-    n_ev = np.bincount(ev_pix, minlength=n_pix)
-    n_syn = n_ev[pre_of]
-    a_syn = np.repeat(np.arange(pre_of.size), n_syn)
-    first = (np.cumsum(n_ev) - n_ev)[pre_of]  # each synapse's first event in ev_t
-    a_u = ev_t[np.arange(a_syn.size) + np.repeat(first - np.cumsum(n_syn) + n_syn, n_syn)]
+    a_syn, a_u = pl._synapse_spikes(raster, pre_of)
     a_tap, a_unit = np.divmod(a_syn, n_pos)
     # prev_post(u + k) of map m is at a_at + a_at_map[m, a_tap]
     a_at = a_u * n_units + a_unit
@@ -376,12 +350,12 @@ def _step(w, d, sel, dw, dd, w_lo, w_hi, floor, live, par, delay_on: bool) -> No
     row per neuron) and the lateral edges (a row per edge). ``dw`` and ``dd``
     are shaped like the block or broadcast to it; the weight bounds are
     scalars or one per row. Delays move only with delay learning on, only
-    where ``live`` (not frozen), and stay in [floor, d_max]."""
+    where ``live`` (not frozen), and stay in [floor, max(floor, d_max)]."""
     lo, hi = (b[sel] if np.ndim(b) else b for b in (w_lo, w_hi))
     w[sel] = np.clip(w[sel] + dw[sel], lo, hi)
     if delay_on:
         m = sel & live
-        d[m] = np.clip(d[m] + dd[m], floor, par.d_max)
+        d[m] = np.clip(d[m] + dd[m], floor, max(floor, par.d_max))
 
 
 def _apply_decision_plasticity(net: Network, r: float, deltas, delay_on: bool) -> None:

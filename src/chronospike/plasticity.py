@@ -12,12 +12,13 @@ synapse of delay d are
     causal:       dt = t_post - last_pre(t_post - k) - d   for each post spike
     anti-causal:  dt = prev_post(u + k) - u - d             for each pre spike u
 
-Both layers pair by these two identities. Layer 1 knows every bin of every
-input pixel and conv unit, so it holds last_pre and prev_post as dense
-tables over bins and gathers from them
-(:func:`chronospike.harness._conv_pair_deltas`). The decision layer's
-spikes are few, so :func:`nearest_pairs` answers the same questions from
-sorted spike keys, for many synapses in one call.
+Both layers pair by these two identities, through the same two
+primitives: :func:`_latest_before` tables last_pre and prev_post over bins,
+and :func:`_synapse_spikes` lists each synapse with each spike of its
+neuron, so every pair is a gather. Layer 1 builds its tables once per
+presentation and gathers map by map
+(:func:`chronospike.harness._conv_pair_deltas`); the decision layer pairs
+all its synapses in one :func:`nearest_pairs` call.
 
 Each rule is a pure function of (pre, post) spike pairs on one synapse,
 ``(t_pre, t_post, d, p)``. The timing argument is the emission-time
@@ -122,8 +123,7 @@ def inhibitory_delay_delta(t_pre, t_post, d, p: PlasticityParams):
 
 def nearest_pairs(pre_t, pre_n, post_t, post_n, syn_pre, syn_post, syn_k):
     """The pairs of the pairing rule (see the module docstring) on many
-    synapses at once, from sorted spike keys: the decision layer's pairing,
-    where a dense table of every bin would be mostly empty.
+    synapses at once, gathered from latest-spike tables.
 
     Spikes are events: pre neuron ``pre_n[i]`` emits at bin ``pre_t[i]``
     and post neuron ``post_n[i]`` at bin ``post_t[i]``, each neuron at most
@@ -139,14 +139,19 @@ def nearest_pairs(pre_t, pre_n, post_t, post_n, syn_pre, syn_post, syn_k):
     if pre_t.size == 0 or post_t.size == 0:
         empty = np.empty(0, np.int64)
         return empty, empty, empty
-    # one sorted key per spike, neuron * span + bin; every queried bin is below span
-    span = 1 + max(int(pre_t.max() + syn_k.max(initial=0)), int(post_t.max()))
-    pre_key = np.sort(pre_n * span + pre_t)
-    post_key = np.sort(post_n * span + post_t)
-    c_syn, c_post = _each_spike(syn_post, post_key, span)
-    c_pre = _latest(pre_key, syn_pre[c_syn], c_post - syn_k[c_syn], span, "right")
-    a_syn, a_pre = _each_spike(syn_pre, pre_key, span)
-    a_post = _latest(post_key, syn_post[a_syn], a_pre + syn_k[a_syn], span, "left")
+    # a raster column for every neuron that spikes or that a synapse names
+    pre = np.zeros((pre_t.max() + 1, max(pre_n.max(), syn_pre.max(initial=0)) + 1), bool)
+    post = np.zeros((post_t.max() + 1, max(post_n.max(), syn_post.max(initial=0)) + 1), bool)
+    pre[pre_t, pre_n] = True
+    post[post_t, post_n] = True
+    k_max = int(syn_k.max(initial=0))
+    # last_pre(t) is row t + 1 + k_max, t in [-k_max, post bins); prev_post(t) is row t
+    last_pre = _latest_before(pre, -k_max, post.shape[0] + 1)
+    prev_post = _latest_before(post, 0, pre.shape[0] + k_max)
+    c_syn, c_post = _synapse_spikes(post, syn_post)
+    c_pre = last_pre[c_post + 1 + k_max - syn_k[c_syn], syn_pre[c_syn]]
+    a_syn, a_pre = _synapse_spikes(pre, syn_pre)
+    a_post = prev_post[a_pre + syn_k[a_syn], syn_post[a_syn]]
     c = c_pre >= 0
     a = a_post >= 0
     return (
@@ -156,22 +161,31 @@ def nearest_pairs(pre_t, pre_n, post_t, post_n, syn_pre, syn_post, syn_k):
     )
 
 
-def _each_spike(neuron, key, span):
-    """Synapse ``s`` with each spike bin of ``neuron[s]``, by synapse then bin."""
-    lo = np.searchsorted(key, neuron * span)
-    n = np.searchsorted(key, (neuron + 1) * span) - lo
+def _latest_before(raster: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Row ``t - lo``, for t in [lo, hi) with lo <= 0: per column of the
+    boolean ``raster`` (bins along axis 0), the latest bin before t in which
+    it spikes, -1 if none. Filled row by row: a ``maximum.accumulate`` over
+    the bin axis costs as much on a small sheet and 2 to 3 times more on a
+    32x32 one."""
+    n = raster.shape[0]
+    out = np.full((hi - lo,) + raster.shape[1:], -1, dtype=np.int32)
+    for t in range(1, min(hi, n + 1)):
+        out[t - lo] = out[t - 1 - lo]
+        out[t - lo][raster[t - 1]] = t - 1
+    if hi > n + 1:
+        out[n + 1 - lo :] = out[n - lo]
+    return out
+
+
+def _synapse_spikes(raster: np.ndarray, neuron: np.ndarray):
+    """``(syn, t)``: synapse ``s`` with each bin in which column
+    ``neuron[s]`` of the boolean ``raster`` spikes, by synapse then bin."""
+    col, t = np.divmod(np.flatnonzero(raster.T), raster.shape[0])
+    n_col = np.bincount(col, minlength=raster.shape[1])
+    n = n_col[neuron]
     syn = np.repeat(np.arange(neuron.size), n)
-    idx = np.arange(syn.size) + np.repeat(lo - np.cumsum(n) + n, n)
-    return syn, key[idx] % span
-
-
-def _latest(key, neuron, t, span, side):
-    """Bin of the latest spike of ``neuron`` at or before ``t`` (side
-    "right") or strictly before it (side "left"); -1 where there is none."""
-    base = neuron * span
-    i = np.searchsorted(key, base + t, side=side) - 1
-    found = key[np.maximum(i, 0)]
-    return np.where((i >= 0) & (found >= base), found - base, -1)
+    first = (np.cumsum(n_col) - n_col)[neuron]  # each synapse's first spike in t
+    return syn, t[np.arange(syn.size) + np.repeat(first - np.cumsum(n) + n, n)]
 
 
 def delay_bins(d, p: PlasticityParams, floor: float = 0.0) -> np.ndarray:

@@ -26,6 +26,8 @@ CHECKPOINT_VERSION = 1
 
 #: Training phases a network can be in: the phase it trains next, or ``eval``.
 PHASES = ("layer1", "layer2", "eval")
+#: Each delay array and its floor; delays stay in [floor, max(floor, d_max)].
+_DELAY_FLOORS = (("conv_d", 0.0), ("df", 0.0), ("lat_d", pl.LATERAL_DELAY_FLOOR))
 
 
 class StateError(ValueError):
@@ -119,9 +121,10 @@ class Network:
             self.lat_d = rng.uniform(floor, max(floor, plast.d_max), size=src.size)
 
         if cfg.delay_mode == "fixed":
-            for d, floor in ((self.conv_d, 0.0), (self.df, 0.0), (self.lat_d, pl.LATERAL_DELAY_FLOOR)):
+            for name, floor in _DELAY_FLOORS:
+                d = getattr(self, name)
                 d.fill(float(cfg.fixed_delay_value))
-                np.clip(d, floor, plast.d_max, out=d)
+                np.clip(d, floor, max(floor, plast.d_max), out=d)
 
         self.theta = np.full(self.n_dec, top.decision_theta)
         self.act_short = np.zeros(self.n_dec)
@@ -260,11 +263,12 @@ def load_checkpoint(path: str | Path) -> Network:
     Raises :class:`StateError` unless the file holds every field, its
     ``config_hash`` digests its stored config (as written, before retired
     fields are dropped), ``phase`` is known, every array has the shape and
-    dtype the config implies, float arrays are finite, edge, class and
-    decision-window entries index existing neurons and classes, and the
-    decision window is no longer than the config keeps. A stored
-    config that this code rejects, or that builds no network on
-    ``input_shape``, is a :class:`StateError` too."""
+    dtype the config implies, float arrays are finite, delays lie in
+    [floor, max(floor, d_max)], edge, class and decision-window entries
+    index existing neurons and classes, and the decision window is no
+    longer than the config keeps. A stored config that this code rejects,
+    or that builds no network on ``input_shape``, is a :class:`StateError`
+    too."""
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -306,6 +310,10 @@ def load_checkpoint(path: str | Path) -> Network:
         a = getattr(net, name)
         if a.size and (a.min() < 0 or a.max() >= bound):
             raise StateError(f"{path}: array {name} holds an index outside [0, {bound})")
+    for name, floor in _DELAY_FLOORS:
+        a, hi = getattr(net, name), max(floor, net.cfg.plasticity.d_max)
+        if a.size and (a.min() < floor or a.max() > hi):
+            raise StateError(f"{path}: array {name} holds a delay outside [{floor:g}, {hi:g}]")
     window = payload["decision_window"]
     kept = net.decision_window.maxlen
     if not (isinstance(window, list) and len(window) <= kept

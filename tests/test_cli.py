@@ -397,11 +397,11 @@ def test_eval_tampered_checkpoint_is_state_error(ws, tmp_path):
     assert main(["eval", "--checkpoint", str(bad), "--data", str(ws["test_ds"])]) == 3
 
 
-def _set_first(payload, name, value):
-    """Set the first entry of checkpoint array ``name`` to ``value``."""
+def _set_first(payload, name, value, every=False):
+    """Set the first entry, or every entry, of checkpoint array ``name`` to ``value``."""
     spec = payload["arrays"][name]
     a = np.frombuffer(base64.b64decode(spec["data"]), dtype=spec["dtype"]).copy()
-    a[0] = value
+    a[slice(None) if every else 0] = value
     spec["data"] = base64.b64encode(a.tobytes()).decode("ascii")
 
 
@@ -421,6 +421,10 @@ HOSTILE_CHECKPOINTS = {
     "lat_tgt 999": lambda p: _set_first(p, "lat_tgt", 999),
     "lat_src -1": lambda p: _set_first(p, "lat_src", -1),
     "NaN in wf": lambda p: _set_first(p, "wf", float("nan")),
+    "every conv_d -5": lambda p: _set_first(p, "conv_d", -5.0, every=True),
+    "every df 1e9": lambda p: _set_first(p, "df", 1e9, every=True),
+    "df above d_max": lambda p: _set_first(p, "df", p["config"]["plasticity"]["d_max"] + 0.5),
+    "lat_d below its floor of 1": lambda p: _set_first(p, "lat_d", 0.5),
     "zeroed config_hash": lambda p: p.update(config_hash="0" * 64),
     "decision_window [99]": lambda p: p.update(decision_window=[99]),
     "config.lif 5": lambda p: _set_config(p, lambda c: c.update(lif=5)),

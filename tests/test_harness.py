@@ -44,16 +44,17 @@ from chronospike.harness import (
     train_layer1,
     train_layer2,
 )
+from chronospike import harness
+from chronospike import plasticity as pl
 from chronospike.plasticity import (
     LATERAL_DELAY_FLOOR,
     delay_bins,
-    nearest_pairs,
     stdp_weight_delta,
     unsupervised_delay_delta,
 )
 from chronospike.presets import moving_bars_acceptance_config
 from chronospike.regulation import DecentralizeGate
-from chronospike.topology import build_network, layer1_hash, state_hash
+from chronospike.topology import build_network, layer1_hash, load_checkpoint, save_checkpoint, state_hash
 
 
 def samples_for(cfg):
@@ -829,6 +830,23 @@ def test_decision_updates_match_old_callers(seed, shared, delay_on):
         _assert_blocks_equal(net, ref)
 
 
+def test_lateral_delays_keep_their_floor_below_one_bin_of_d_max(tmp_path):
+    """With d_max under the lateral floor of one bin, the fixed fill and a
+    step both keep lateral delays at the floor, so the network's own
+    checkpoint passes the load-time domain check."""
+    par = PlasticityParams(d_max=0.5)
+    fixed = build_network(tiny_cfg(plasticity=par, delay_mode="fixed", fixed_delay_value=0.0), (2, 6, 6))
+    learned = build_network(tiny_cfg(plasticity=par), (2, 6, 6))
+    every = np.ones(learned.lat_d.size, bool)
+    _inh, lo, hi = _lateral_domain(learned)
+    step = np.full(every.size, 3.0)
+    _step(learned.lat_w, learned.lat_d, every, 0.0 * step, step, lo, hi, LATERAL_DELAY_FLOOR, every, par, True)
+    for net in (fixed, learned):
+        assert net.lat_d.size and (net.lat_d == LATERAL_DELAY_FLOOR).all()
+        save_checkpoint(tmp_path / "ckpt.json", net)
+        assert (load_checkpoint(tmp_path / "ckpt.json").lat_d == LATERAL_DELAY_FLOOR).all()
+
+
 @pytest.mark.parametrize("shared", [False, True])
 def test_lateral_domain_matches_old_inh_rule_edges(shared):
     net = STEP_NETS[shared]
@@ -840,10 +858,53 @@ def test_lateral_domain_matches_old_inh_rule_edges(shared):
     assert (lo[~inh] == 0.0).all() and (hi[~inh] == par.w_max).all()
 
 
-# -- conv pair deltas from latest-spike tables ------------------------------------
+# -- pair deltas from latest-spike tables ------------------------------------------
 #
-# ``_conv_pair_deltas`` as it stood when it paired each map with one sorted-key
-# ``nearest_pairs`` call, kept verbatim as the reference for bit-identity.
+# ``nearest_pairs`` as it stood when it searched sorted spike keys, and
+# ``_conv_pair_deltas`` and ``_decision_pair_deltas`` as they stood when they
+# paired through it, kept verbatim as the references for bit-identity.
+
+
+def old_nearest_pairs(pre_t, pre_n, post_t, post_n, syn_pre, syn_post, syn_k):
+    pre_t, pre_n, post_t, post_n, syn_pre, syn_post, syn_k = (
+        np.asarray(a, dtype=np.int64) for a in (pre_t, pre_n, post_t, post_n, syn_pre, syn_post, syn_k)
+    )
+    if pre_t.size == 0 or post_t.size == 0:
+        empty = np.empty(0, np.int64)
+        return empty, empty, empty
+    # one sorted key per spike, neuron * span + bin; every queried bin is below span
+    span = 1 + max(int(pre_t.max() + syn_k.max(initial=0)), int(post_t.max()))
+    pre_key = np.sort(pre_n * span + pre_t)
+    post_key = np.sort(post_n * span + post_t)
+    c_syn, c_post = _each_spike(syn_post, post_key, span)
+    c_pre = _latest(pre_key, syn_pre[c_syn], c_post - syn_k[c_syn], span, "right")
+    a_syn, a_pre = _each_spike(syn_pre, pre_key, span)
+    a_post = _latest(post_key, syn_post[a_syn], a_pre + syn_k[a_syn], span, "left")
+    c = c_pre >= 0
+    a = a_post >= 0
+    return (
+        np.concatenate([c_syn[c], a_syn[a]]),
+        np.concatenate([c_pre[c], a_pre[a]]),
+        np.concatenate([c_post[c], a_post[a]]),
+    )
+
+
+def _each_spike(neuron, key, span):
+    """Synapse ``s`` with each spike bin of ``neuron[s]``, by synapse then bin."""
+    lo = np.searchsorted(key, neuron * span)
+    n = np.searchsorted(key, (neuron + 1) * span) - lo
+    syn = np.repeat(np.arange(neuron.size), n)
+    idx = np.arange(syn.size) + np.repeat(lo - np.cumsum(n) + n, n)
+    return syn, key[idx] % span
+
+
+def _latest(key, neuron, t, span, side):
+    """Bin of the latest spike of ``neuron`` at or before ``t`` (side
+    "right") or strictly before it (side "left"); -1 where there is none."""
+    base = neuron * span
+    i = np.searchsorted(key, base + t, side=side) - 1
+    found = key[np.maximum(i, 0)]
+    return np.where((i >= 0) & (found >= base), found - base, -1)
 
 
 def old_conv_pair_deltas(net, frames: np.ndarray, spikes: np.ndarray):
@@ -862,7 +923,7 @@ def old_conv_pair_deltas(net, frames: np.ndarray, spikes: np.ndarray):
     dd = np.zeros((net.n_maps, n_taps))
     for m in range(net.n_maps):
         post_t, post_n = np.nonzero(spikes[:, m].reshape(spikes.shape[0], -1))
-        syn, t_pre, t_post = nearest_pairs(pre_t, pre_n, post_t, post_n, pre_of, post_of, dint[m, tap])
+        syn, t_pre, t_post = old_nearest_pairs(pre_t, pre_n, post_t, post_n, pre_of, post_of, dint[m, tap])
         tm = tap[syn]
         d = net.conv_d[m].ravel()[tm]
         dw[m] = np.bincount(tm, stdp_weight_delta(t_pre, t_post, d, par), n_taps)
@@ -958,3 +1019,54 @@ def test_conv_pair_deltas_memory_stays_one_map_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def old_decision_pair_deltas(net, pooled_t, pooled_unit, dec_t, dec_j):
+    par = net.cfg.plasticity
+    n_fwd = net.wf.size
+    n_pool = net.n_pool
+    d = np.concatenate([net.df.ravel(), net.lat_d])
+    syn, t_pre, t_post = old_nearest_pairs(
+        np.concatenate([pooled_t, dec_t]),
+        np.concatenate([pooled_unit, n_pool + dec_j]),
+        dec_t,
+        dec_j,
+        np.concatenate([np.tile(np.arange(n_pool), net.n_dec), n_pool + net.lat_src]),
+        np.concatenate([np.repeat(np.arange(net.n_dec), n_pool), net.lat_tgt]),
+        np.concatenate(
+            [pl.delay_bins(net.df, par).ravel(), pl.delay_bins(net.lat_d, par, pl.LATERAL_DELAY_FLOOR)]
+        ),
+    )
+    d = d[syn]
+    inh = np.concatenate([np.zeros(n_fwd, dtype=bool), _lateral_domain(net)[0]])[syn]
+    dd = np.empty(syn.size)
+    dd[~inh] = pl.unsupervised_delay_delta(t_pre[~inh], t_post[~inh], d[~inh], par)
+    dd[inh] = pl.inhibitory_delay_delta(t_pre[inh], t_post[inh], d[inh], par)
+    dw = np.bincount(syn, pl.stdp_weight_delta(t_pre, t_post, d, par), n_fwd + net.lat_w.size)
+    dd = np.bincount(syn, dd, n_fwd + net.lat_d.size)
+    return dw[:n_fwd].reshape(net.wf.shape), dd[:n_fwd].reshape(net.df.shape), dw[n_fwd:], dd[n_fwd:]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decision_pair_deltas_match_old_on_preset_training(seed, monkeypatch):
+    """Every call of one preset decision epoch, with
+    ``_apply_decision_plasticity`` and regulation moving the synapses between
+    calls as in phase 2."""
+    cfg = moving_bars_acceptance_config(seed, synthetic_train_per_class=4)
+    cfg = dataclasses.replace(cfg, harness=dataclasses.replace(cfg.harness, max_epochs_l2=1))
+    samples = samples_for(cfg)
+    net = build_network(cfg, samples[0].frames.shape[1:])
+    assert net.lat_src.size
+    calls = []
+
+    def checked(net, *spikes):
+        got = _decision_pair_deltas(net, *spikes)
+        want = old_decision_pair_deltas(net, *spikes)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        calls.append([g.any() for g in got])
+        return got
+
+    monkeypatch.setattr(harness, "_decision_pair_deltas", checked)
+    train_layer2(net, samples, build_pooled_cache(net, samples))
+    assert len(calls) >= 5 and np.array(calls).any(axis=0).all()  # lateral pairs too
