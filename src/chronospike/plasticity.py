@@ -13,10 +13,10 @@ synapse of delay d are
     anti-causal:  dt = prev_post(u + k) - u - d             for each pre spike u
 
 Both layers pair by these two identities, through the same two
-primitives: :func:`_latest_before` tables last_pre and prev_post over bins,
-and :func:`_synapse_spikes` lists each synapse with each spike of its
-neuron, so every pair is a gather. Layer 1 builds its tables once per
-presentation and gathers map by map
+primitives: :func:`_latest_before` holds last_pre and prev_post as tables
+over bins, and :func:`_synapse_spikes` lists each synapse with each spike
+of its neuron, so every pair is a gather. Layer 1 builds its tables once
+per presentation and gathers map by map
 (:func:`chronospike.harness._conv_pair_deltas`); the decision layer pairs
 all its synapses in one :func:`nearest_pairs` call.
 

@@ -21,7 +21,8 @@ from test_plasticity import (
     ref_weight,
 )
 
-from chronospike import gen_synthetic, moving_bars_spec
+from chronospike import gen_synthetic, harness, moving_bars_spec
+from chronospike import plasticity as pl
 from chronospike.config import LIFParams, PlasticityParams
 from chronospike.core import DelayOutOfRange, lif_integrate
 from chronospike.harness import (
@@ -44,8 +45,6 @@ from chronospike.harness import (
     train_layer1,
     train_layer2,
 )
-from chronospike import harness
-from chronospike import plasticity as pl
 from chronospike.plasticity import (
     LATERAL_DELAY_FLOOR,
     delay_bins,

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronospike.config import PlasticityParams
@@ -312,53 +312,32 @@ neurons = st.integers(min_value=0, max_value=3)
     synapses=st.lists(st.tuples(neurons, neurons, st.integers(min_value=0, max_value=10)), max_size=8),
 )
 @settings(max_examples=200)
+# every delay 0; an arrival after the last post bin; a post spike at bin 0
+@example(pre={(0, 0), (0, 3), (1, 5)}, post={(0, 0), (0, 4), (1, 5)}, synapses=[(0, 0, 0), (1, 1, 0), (1, 0, 0)])
+@example(pre={(0, 1), (0, 9)}, post={(0, 2), (0, 4)}, synapses=[(0, 0, 3), (0, 0, 0)])
+@example(pre={(0, 0), (0, 2)}, post={(0, 0), (0, 3)}, synapses=[(0, 0, 1), (0, 0, 0)])
+# synapses from and to neurons above every neuron that spiked
+@example(pre={(0, 1)}, post={(0, 3)}, synapses=[(7, 0, 2), (0, 0, 1), (5, 0, 0), (0, 6, 1)])
+# post neurons 0-2 are also pre neurons 4-6, as the decision layer's lateral edges see them
+@example(
+    pre={(0, 0), (2, 1), (3, 4), (4, 2), (5, 6), (6, 6)},
+    post={(0, 2), (1, 6), (2, 6)},
+    synapses=[(0, 0, 1), (3, 1, 2), (4, 1, 3), (5, 2, 1), (6, 0, 0), (4, 2, 4), (2, 0, 9)],
+)
 def test_nearest_pairs_of_many_synapses_match_reference_in_order(pre, post, synapses):
     pre_n, pre_t = np.array(sorted(pre), np.int64).reshape(-1, 2).T
     post_n, post_t = np.array(sorted(post), np.int64).reshape(-1, 2).T
     syn_pre, syn_post, syn_k = np.array(synapses, np.int64).reshape(-1, 3).T
     syn, tp, tq = pl.nearest_pairs(pre_t, pre_n, post_t, post_n, syn_pre, syn_post, syn_k)
-    assert list(zip(syn.tolist(), tp.tolist(), tq.tolist())) == ref_many_pairs(pre, post, synapses)
-
-
-def ref_many_pairs(pre, post, synapses):
-    """``(synapse, t_pre, t_post)`` of every pair, from :func:`ref_pairs` one
-    synapse at a time: causal pairs by synapse and post spike, then
-    anti-causal by synapse and pre spike."""
     causal, anti = [], []
     for s, (i, j, k) in enumerate(synapses):
         times_pre = sorted(t for n, t in pre if n == i)
         times_post = sorted(t for n, t in post if n == j)
         for a, b in ref_pairs(times_pre, times_post, k):
             (causal if a + k <= b else anti).append((s, a, b))
-    return sorted(causal, key=lambda x: (x[0], x[2])) + sorted(anti)
-
-
-# (pre (neuron, bin) spikes, post (neuron, bin) spikes, (pre, post, delay) synapses)
-PAIRING_EDGES = {
-    "every delay 0": ({(0, 0), (0, 3), (1, 5)}, {(0, 0), (0, 4), (1, 5)}, [(0, 0, 0), (1, 1, 0), (1, 0, 0)]),
-    "arrival after the last post bin": ({(0, 1), (0, 9)}, {(0, 2), (0, 4)}, [(0, 0, 3), (0, 0, 0)]),
-    "post spike at bin 0": ({(0, 0), (0, 2)}, {(0, 0), (0, 3)}, [(0, 0, 1), (0, 0, 0)]),
-    "synapse from a silent high neuron": ({(0, 1)}, {(0, 3)}, [(7, 0, 2), (0, 0, 1), (5, 0, 0)]),
-    "synapse to a silent high neuron": ({(0, 1)}, {(0, 3)}, [(0, 6, 1), (0, 0, 1)]),
-    # decision neurons 0-2 are also pre neurons 4-6, as the lateral edges see them
-    "pre population holds the post neurons": (
-        {(0, 0), (2, 1), (3, 4), (4, 2), (5, 6), (6, 6)},
-        {(0, 2), (1, 6), (2, 6)},
-        [(0, 0, 1), (3, 1, 2), (4, 1, 3), (5, 2, 1), (6, 0, 0), (4, 2, 4), (2, 0, 9)],
-    ),
-}
-
-
-@pytest.mark.parametrize("case", PAIRING_EDGES)
-def test_nearest_pairs_at_the_edges(case):
-    pre, post, synapses = PAIRING_EDGES[case]
-    pre_n, pre_t = np.array(sorted(pre), np.int64).T
-    post_n, post_t = np.array(sorted(post), np.int64).T
-    syn_pre, syn_post, syn_k = np.array(synapses, np.int64).T
-    syn, tp, tq = pl.nearest_pairs(pre_t, pre_n, post_t, post_n, syn_pre, syn_post, syn_k)
-    got = list(zip(syn.tolist(), tp.tolist(), tq.tolist()))
-    want = ref_many_pairs(pre, post, synapses)
-    assert got == want and len(want) > 0
+    # causal pairs by synapse and post spike, then anti-causal by synapse and pre spike
+    want = sorted(causal, key=lambda x: (x[0], x[2])) + sorted(anti)
+    assert list(zip(syn.tolist(), tp.tolist(), tq.tolist())) == want
 
 
 # -- the one kernel against the three rule bodies it replaced -------------------
