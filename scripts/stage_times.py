@@ -24,7 +24,11 @@ layer's regulation (``_apply_decision_plasticity``, ``_apply_neuron_gain``)
 are timed with them. The file also holds each repeat's
 ``state_hash`` and accuracy, the host's load average before and after, and
 the Python and numpy versions, so a speed-up that changes behaviour shows in
-the same file. Compare two files only when they come from the same host.
+the same file. Each repeat also records ``metrics_sha256``, the sha256 of
+its per-presentation metrics rows written as ``chronospike train`` writes
+them (``metrics.jsonl`` without its header line), so two files show whether
+training took the same path step by step. Compare two files only when they
+come from the same host.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import platform
@@ -119,9 +124,14 @@ class StageClock:
 
 def run_row(make) -> dict:
     cfg, train, test = make()
+    rows = hashlib.sha256()
+
+    def write_row(row: dict) -> None:
+        rows.update((json.dumps(row, sort_keys=True) + "\n").encode())
+
     with StageClock() as clock:
         t0 = time.perf_counter()
-        res = harness.train(cfg, train)
+        res = harness.train(cfg, train, metrics=write_row)
         ev = harness.evaluate(res.net, test)
         wall = time.perf_counter() - t0
     return {
@@ -135,6 +145,7 @@ def run_row(make) -> dict:
             for name in STAGES
         },
         "state_hash": state_hash(res.net),
+        "metrics_sha256": rows.hexdigest(),
         "accuracy": ev.accuracy,
         "presentations": res.presentations,
     }
@@ -142,10 +153,12 @@ def run_row(make) -> dict:
 
 def summarize(repeats: list[dict]) -> dict:
     """Medians over repeats; a row whose repeats disagree on the trained
-    state is not a timing of one workload, so it is refused."""
-    hashes = {r["state_hash"] for r in repeats}
-    if len(hashes) != 1:
-        raise SystemExit(f"repeats disagree on state_hash: {sorted(hashes)}")
+    state or on the metrics rows is not a timing of one workload, so it is
+    refused."""
+    for key in ("state_hash", "metrics_sha256"):
+        hashes = {r[key] for r in repeats}
+        if len(hashes) != 1:
+            raise SystemExit(f"repeats disagree on {key}: {sorted(hashes)}")
     ms = {
         name: statistics.median(r["stages"][name]["ms_per_call"] for r in repeats)
         if repeats[0]["stages"][name]["calls"]
@@ -154,6 +167,7 @@ def summarize(repeats: list[dict]) -> dict:
     }
     return {
         "state_hash": repeats[0]["state_hash"],
+        "metrics_sha256": repeats[0]["metrics_sha256"],
         "accuracy": repeats[0]["accuracy"],
         "median_wall_s": statistics.median(r["wall_s"] for r in repeats),
         "median_ms_per_call": ms,

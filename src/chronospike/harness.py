@@ -1,13 +1,16 @@
 """Training, evaluation, and presentation orchestration.
 
-Training is layerwise. Phase 1 loops presentations through the
-convolutional sheet alone, updating its shared kernels with unsupervised
-weight and delay rules plus interval homeostasis, until every map's delay
-movement has frozen or the epoch budget runs out. Phase 2 freezes layer 1
-(its pooled responses are cached per sample), then trains the decision
-layer with the reward-modulated rules and all regulation mechanisms. All
-parameter changes are accumulated over one presentation and applied at its
-end.
+Training is layerwise, and both phases run in one epoch loop,
+:func:`_train_phase`: it orders each epoch from the network's RNG, feeds
+each unit's delay movement to the phase's freeze tracker, ends the phase
+once every unit has frozen or the epoch budget runs out, and writes the
+metrics row. Each phase supplies only its presentation. Phase 1 presents
+samples to the convolutional sheet alone, updating its shared kernels with
+unsupervised weight and delay rules plus interval homeostasis. Phase 2
+freezes layer 1 (its pooled responses are cached per sample), then trains
+the decision layer with the reward-modulated rules and all regulation
+mechanisms. All parameter changes are accumulated over one presentation and
+applied at its end.
 
 Evaluation runs presentations with plasticity and regulation off; only the
 per-class activity gate stays active unless decentralization is disabled,
@@ -123,7 +126,8 @@ def _decision_sim(net: Network, pooled_t, pooled_unit, t_input: int, gate: Decen
     span = int(round(par.d_max)) + 1
     # forward arrivals land by pooled_t.max() + d_max, so this holds hard_cap + d_max + 1 rows
     n_bins = max(int(t_input), int(pooled_t.max(initial=-1)) + span) + (FLUSH_FACTOR + 1) * span
-    fwd, lat = DelayBuffer(n_bins, n, par.d_max), DelayBuffer(n_bins, n, par.d_max)
+    fwd = DelayBuffer(n_bins, n, par.d_max)
+    lat = DelayBuffer(n_bins, n, max(pl.LATERAL_DELAY_FLOOR, par.d_max))
     dint = pl.delay_bins(net.df[:, pooled_unit], par)
     fwd.schedule(np.arange(n), net.wf[:, pooled_unit].T, dint.T, pooled_t[:, None])
     by_src = np.argsort(net.lat_src, kind="stable")
@@ -149,8 +153,7 @@ def _decision_sim(net: Network, pooled_t, pooled_unit, t_input: int, gate: Decen
                 e = by_src[np.isin(src_sorted, fire)]
                 lat.schedule(net.lat_tgt[e], net.lat_w[e], lat_dint[e], t)
         t += 1
-    active = gate.active_per_group() if gate.enabled else np.zeros(net.n_classes, np.int64)
-    return np.asarray(ts, np.int64), np.asarray(js, np.int64), active
+    return np.asarray(ts, np.int64), np.asarray(js, np.int64), gate.active_per_group()
 
 
 def run_presentation(
@@ -397,62 +400,70 @@ def _apply_neuron_gain(net: Network, gain: np.ndarray, delay_on: bool) -> None:
 # -- training phases ---------------------------------------------------------
 
 
+def _train_phase(net: Network, samples, phase: str, max_epochs: int, freeze, present, metrics) -> PhaseResult:
+    """The epoch loop both phases share.
+
+    Each epoch visits ``samples`` in an order drawn from ``net.rng``.
+    ``present(i)`` trains on sample ``i`` and returns each unit's delay
+    movement and the phase's own metrics-row fields. With delay learning on,
+    the movement feeds a :class:`FreezeTracker` over ``freeze``, the phase's
+    (ema, observation count, frozen) network arrays, and the phase ends
+    early, converged, after the epoch in which every unit has frozen.
+    """
+    hp = net.cfg.harness
+    delay_on = net.cfg.delay_learning_on
+    tracker = FreezeTracker(freeze[2].size, hp.freeze_scale * net.cfg.plasticity.d_max, hp.freeze_window)
+    tracker.ema, tracker.n_obs, tracker.frozen = freeze
+    presentations = epochs = 0
+    for epoch in range(max_epochs):
+        epochs = epoch + 1
+        for i in net.rng.permutation(len(samples)).tolist():
+            moved, row = present(i)
+            if delay_on:
+                tracker.update(moved)
+            presentations += 1
+            if metrics is not None:
+                shared = {"phase": phase, "epoch": epoch, "sample": i, "label": int(samples[i].label)}
+                metrics({**shared, "frozen_fraction": float(tracker.frozen.mean()), **row})
+        if delay_on and tracker.all_frozen:
+            return PhaseResult(True, epochs, presentations)
+    return PhaseResult(False, epochs, presentations)
+
+
 def train_layer1(net: Network, samples: list[FrameSequence], metrics=None) -> PhaseResult:
-    """Unsupervised training of the convolutional sheet."""
+    """Unsupervised training of the convolutional sheet: per presentation,
+    the pair rules and then interval homeostasis on the shared kernels."""
     cfg = net.cfg
     reg = cfg.regulation
     par = cfg.plasticity
-    hp = cfg.harness
     delay_on = cfg.delay_learning_on
-    tracker = FreezeTracker(net.n_maps, hp.freeze_scale * par.d_max, hp.freeze_window)
-    tracker.ema = net.conv_freeze_ema
-    tracker.n_obs = net.conv_freeze_n
-    tracker.frozen = net.conv_frozen
     every = np.ones(net.n_maps, dtype=bool)
-    converged = False
-    presentations = 0
-    epochs = 0
-    for epoch in range(hp.max_epochs_l1):
-        epochs = epoch + 1
-        for idx in net.rng.permutation(len(samples)):
-            frames = samples[int(idx)].frames
-            spikes, _first = _conv_sim(net, frames)
-            d_before = net.conv_d.copy()
-            if spikes.any():
-                dw_k, dd_k = _conv_pair_deltas(net, frames, spikes)
-                _step(
-                    net.conv_w, net.conv_d, every, dw_k, dd_k,
-                    0.0, par.w_max, 0.0, ~net.conv_frozen, par, delay_on,
-                )
-            counts = spikes.sum(axis=0)
-            ema_update(net.conv_act, counts, reg.activity_window)
-            k_map = interval_gain(net.conv_act, reg).mean(axis=(1, 2))
-            k = k_map[:, None, None, None]
+
+    def present(i: int):
+        frames = samples[i].frames
+        spikes, _first = _conv_sim(net, frames)
+        d_before = net.conv_d.copy()
+        if spikes.any():
+            dw_k, dd_k = _conv_pair_deltas(net, frames, spikes)
             _step(
-                net.conv_w, net.conv_d, k_map != 0.0, reg.lambda_w * k, -reg.lambda_d * k,
+                net.conv_w, net.conv_d, every, dw_k, dd_k,
                 0.0, par.w_max, 0.0, ~net.conv_frozen, par, delay_on,
             )
-            if delay_on:
-                tracker.update(np.abs(net.conv_d - d_before).mean(axis=(1, 2, 3)))
-            presentations += 1
-            if metrics is not None:
-                metrics(
-                    {
-                        "phase": "layer1",
-                        "epoch": epoch,
-                        "sample": int(idx),
-                        "label": int(samples[int(idx)].label),
-                        "verdict": None,
-                        "reward": None,
-                        "conv_spikes": int(counts.sum()),
-                        "frozen_fraction": float(net.conv_frozen.mean()),
-                    }
-                )
-        if delay_on and tracker.all_frozen:
-            converged = True
-            break
+        counts = spikes.sum(axis=0)
+        ema_update(net.conv_act, counts, reg.activity_window)
+        k_map = interval_gain(net.conv_act, reg).mean(axis=(1, 2))
+        k = k_map[:, None, None, None]
+        _step(
+            net.conv_w, net.conv_d, k_map != 0.0, reg.lambda_w * k, -reg.lambda_d * k,
+            0.0, par.w_max, 0.0, ~net.conv_frozen, par, delay_on,
+        )
+        moved = np.abs(net.conv_d - d_before).mean(axis=(1, 2, 3))
+        return moved, {"verdict": None, "reward": None, "conv_spikes": int(counts.sum())}
+
+    freeze = (net.conv_freeze_ema, net.conv_freeze_n, net.conv_frozen)
+    res = _train_phase(net, samples, "layer1", cfg.harness.max_epochs_l1, freeze, present, metrics)
     net.phase = "layer2"
-    return PhaseResult(converged, epochs, presentations)
+    return res
 
 
 def build_pooled_cache(net: Network, samples: list[FrameSequence]):
@@ -470,94 +481,67 @@ def train_layer2(net: Network, samples: list[FrameSequence], pooled_cache, metri
 
     Per presentation: run, vote, reward, apply the accumulated pair rules,
     then regulation in a fixed order (decision homeostasis, interval
-    homeostasis, threshold adaptation), then freeze bookkeeping. Decision
-    homeostasis acts only on presentations that produced a verdict: an
-    abstention leaves its window unchanged, and re-applying the gains of an
-    unchanged window would charge one stale surplus again and again.
+    homeostasis, threshold adaptation). Decision homeostasis acts only on
+    presentations that produced a verdict: an abstention leaves its window
+    unchanged, and re-applying the gains of an unchanged window would charge
+    one stale surplus again and again. A neuron's delay movement is averaged
+    over its forward and lateral afferents.
     """
     cfg = net.cfg
     reg = cfg.regulation
-    par = cfg.plasticity
     hp = cfg.harness
     delay_on = cfg.delay_learning_on
-    tracker = FreezeTracker(net.n_dec, hp.freeze_scale * par.d_max, hp.freeze_window)
-    tracker.ema = net.freeze_ema
-    tracker.n_obs = net.freeze_n
-    tracker.frozen = net.frozen
     window = DecisionWindow(net.n_classes, reg.decision_window_per_class * net.n_classes)
     window.restore(net.decision_window)
-    in_deg = (
-        np.bincount(net.lat_tgt, minlength=net.n_dec) if net.lat_src.size else np.zeros(net.n_dec, np.int64)
-    )
-    n_in = net.n_pool + in_deg
-    converged = False
+    n_in = net.n_pool + np.bincount(net.lat_tgt, minlength=net.n_dec)
     violations = 0
-    presentations = 0
-    epochs = 0
-    for epoch in range(hp.max_epochs_l2):
-        epochs = epoch + 1
-        for idx in net.rng.permutation(len(samples)):
-            s = samples[int(idx)]
-            pres = run_presentation(net, s.frames, pooled=pooled_cache[int(idx)])
-            verdict = majority_vote(pres.counts, pres.first_class)
-            r = compute_reward(pres.counts, s.label, hp.kappa, hp.reward_clip)
-            if (pres.group_active > reg.dc_upper).any():
-                violations += 1
-            d_before_f = net.df.copy()
-            d_before_l = net.lat_d.copy() if net.lat_src.size else None
 
-            if r != 0.0:
-                deltas = _decision_pair_deltas(
-                    net, pres.record.pooled_t, pres.record.pooled_unit,
-                    pres.record.decision_t, pres.record.decision_neuron,
-                )
-                _apply_decision_plasticity(net, r, deltas, delay_on)
+    def present(i: int):
+        nonlocal violations
+        s = samples[i]
+        pres = run_presentation(net, s.frames, pooled=pooled_cache[i])
+        verdict = majority_vote(pres.counts, pres.first_class)
+        r = compute_reward(pres.counts, s.label, hp.kappa, hp.reward_clip)
+        if (pres.group_active > reg.dc_upper).any():
+            violations += 1
+        d_before_f = net.df.copy()
+        d_before_l = net.lat_d.copy()
 
-            counts_per_neuron = np.bincount(pres.record.decision_neuron, minlength=net.n_dec)
-            ema_update(net.act_short, counts_per_neuron, reg.activity_window)
-            ema_update(net.act_long, counts_per_neuron, reg.long_window)
-            if verdict is not None and not cfg.is_disabled("decision-homeo"):
-                window.push(verdict)
-                k_class = window.gains()
-                if np.any(k_class != 0.0):
-                    _apply_neuron_gain(net, k_class[net.class_of], delay_on)
-            if not cfg.is_disabled("homeo"):
-                _apply_neuron_gain(net, interval_gain(net.act_short, reg), delay_on)
-            if not cfg.is_disabled("threshold"):
-                d_theta = threshold_step(net.act_long, reg)
-                tm = d_theta != 0.0
-                if tm.any():
-                    net.theta[tm] = np.clip(
-                        net.theta[tm] + d_theta[tm], cfg.lif.theta_floor, cfg.lif.theta_ceil
-                    )
-            if delay_on:
-                moved = np.abs(net.df - d_before_f).sum(axis=1)
-                if net.lat_src.size:
-                    moved += np.bincount(
-                        net.lat_tgt, weights=np.abs(net.lat_d - d_before_l), minlength=net.n_dec
-                    )
-                tracker.update(moved / n_in)
-            presentations += 1
-            if metrics is not None:
-                metrics(
-                    {
-                        "phase": "layer2",
-                        "epoch": epoch,
-                        "sample": int(idx),
-                        "label": int(s.label),
-                        "verdict": verdict,
-                        "reward": r,
-                        "counts": [int(c) for c in pres.counts],
-                        "frozen_fraction": float(net.frozen.mean()),
-                    }
+        if r != 0.0:
+            deltas = _decision_pair_deltas(
+                net, pres.record.pooled_t, pres.record.pooled_unit,
+                pres.record.decision_t, pres.record.decision_neuron,
+            )
+            _apply_decision_plasticity(net, r, deltas, delay_on)
+
+        counts_per_neuron = np.bincount(pres.record.decision_neuron, minlength=net.n_dec)
+        ema_update(net.act_short, counts_per_neuron, reg.activity_window)
+        ema_update(net.act_long, counts_per_neuron, reg.long_window)
+        if verdict is not None and not cfg.is_disabled("decision-homeo"):
+            window.push(verdict)
+            k_class = window.gains()
+            if np.any(k_class != 0.0):
+                _apply_neuron_gain(net, k_class[net.class_of], delay_on)
+        if not cfg.is_disabled("homeo"):
+            _apply_neuron_gain(net, interval_gain(net.act_short, reg), delay_on)
+        if not cfg.is_disabled("threshold"):
+            d_theta = threshold_step(net.act_long, reg)
+            tm = d_theta != 0.0
+            if tm.any():
+                net.theta[tm] = np.clip(
+                    net.theta[tm] + d_theta[tm], cfg.lif.theta_floor, cfg.lif.theta_ceil
                 )
-        if delay_on and tracker.all_frozen:
-            converged = True
-            break
+        moved = np.abs(net.df - d_before_f).sum(axis=1)
+        moved += np.bincount(net.lat_tgt, weights=np.abs(net.lat_d - d_before_l), minlength=net.n_dec)
+        return moved / n_in, {"verdict": verdict, "reward": r, "counts": [int(c) for c in pres.counts]}
+
+    freeze = (net.freeze_ema, net.freeze_n, net.frozen)
+    res = _train_phase(net, samples, "layer2", hp.max_epochs_l2, freeze, present, metrics)
+    res.gate_violations = violations
     net.decision_window.clear()
     net.decision_window.extend(window.snapshot())
     net.phase = "eval"
-    return PhaseResult(converged, epochs, presentations, violations)
+    return res
 
 
 def train(cfg: RunConfig, samples: list[FrameSequence], metrics=None, after_layer1=None) -> TrainResult:

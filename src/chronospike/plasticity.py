@@ -190,6 +190,6 @@ def _synapse_spikes(raster: np.ndarray, neuron: np.ndarray):
 
 def delay_bins(d, p: PlasticityParams, floor: float = 0.0) -> np.ndarray:
     """Delivery delays in whole bins: each delay rounded to the nearest bin
-    and kept in [floor, round(d_max)]."""
-    return np.clip(np.rint(d), floor, int(round(p.d_max))).astype(np.int64)
+    and kept in [floor, max(floor, round(d_max))]."""
+    return np.clip(np.rint(d), floor, max(floor, int(round(p.d_max)))).astype(np.int64)
 

@@ -23,7 +23,7 @@ from test_plasticity import (
 
 from chronospike import gen_synthetic, harness, moving_bars_spec
 from chronospike import plasticity as pl
-from chronospike.config import LIFParams, PlasticityParams
+from chronospike.config import HarnessParams, LIFParams, PlasticityParams
 from chronospike.core import DelayOutOfRange, lif_integrate
 from chronospike.harness import (
     _apply_decision_plasticity,
@@ -683,6 +683,22 @@ def test_frozen_neuron_delays_pinned_during_phase2():
     np.testing.assert_array_equal(net.df[1:], df_before[1:])
 
 
+def test_phases_converge_once_every_unit_freezes():
+    """A reachable freeze rule ends each phase after the epoch in which its
+    last unit froze, and the metrics rows say so."""
+    hp = HarnessParams(max_epochs_l1=3, max_epochs_l2=3, kappa=0.1, freeze_scale=1.0, freeze_window=20)
+    cfg = tiny_cfg(harness=hp)
+    rows = []
+    res = train(cfg, samples_for(cfg), metrics=rows.append)
+    assert res.converged_l1 and res.converged_l2
+    assert (res.epochs_l1, res.epochs_l2, res.presentations) == (2, 2, 72)
+    for phase in ("layer1", "layer2"):
+        phase_rows = [r for r in rows if r["phase"] == phase]
+        assert len(phase_rows) == 36
+        assert (phase_rows[-1]["epoch"], phase_rows[-1]["frozen_fraction"]) == (1, 1.0)
+    assert res.net.conv_frozen.all() and res.net.frozen.all()
+
+
 def test_train_rejects_empty_set():
     with pytest.raises(ValueError):
         train(tiny_cfg(), [])
@@ -844,6 +860,25 @@ def test_lateral_delays_keep_their_floor_below_one_bin_of_d_max(tmp_path):
         assert net.lat_d.size and (net.lat_d == LATERAL_DELAY_FLOOR).all()
         save_checkpoint(tmp_path / "ckpt.json", net)
         assert (load_checkpoint(tmp_path / "ckpt.json").lat_d == LATERAL_DELAY_FLOOR).all()
+
+
+def test_lateral_edges_deliver_below_one_bin_of_d_max():
+    """With d_max under the lateral floor of one bin, a lateral spike lands
+    one bin after its source fired, so strong lateral weights change the
+    decision spikes. The gate is off: with it on, every class group fills in
+    its first firing bin and lateral input has nothing left to change."""
+    cfg = tiny_cfg(plasticity=PlasticityParams(d_max=0.5), disabled=("decentralize",))
+    samples = samples_for(cfg)[:2]
+    plain = build_network(cfg, (2, 6, 6))
+    strong = build_network(cfg, (2, 6, 6))
+    assert strong.lat_w.size
+    strong.lat_w[:] = np.where(strong.is_inh[strong.lat_src], -50.0, 50.0)
+
+    def spikes(net):
+        records = [run_presentation(net, s.frames).record for s in samples]
+        return [(r.decision_t.tolist(), r.decision_neuron.tolist()) for r in records]
+
+    assert spikes(strong) != spikes(plain)
 
 
 @pytest.mark.parametrize("shared", [False, True])
