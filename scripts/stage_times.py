@@ -29,6 +29,13 @@ its per-presentation metrics rows written as ``chronospike train`` writes
 them (``metrics.jsonl`` without its header line), so two files show whether
 training took the same path step by step. Compare two files only when they
 come from the same host.
+
+The two simulation stages also record the bins they visit per call,
+counted as their calls of the per-bin LIF function (``BIN_CALLS``), and
+the row records the share of ``_decision_sim`` calls that stopped early:
+that visited a bin and returned before the last bin of their window,
+``min(hard_cap - 1, max(t_input - 1, last forward row, last lateral row))``.
+Counting adds one Python call per visited bin to those stage times.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ import platform
 import statistics
 import sys
 import time
+from collections import deque
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,6 +67,8 @@ STAGES = (
     "_conv_pair_deltas", "_conv_sim", "conv_forward_currents", "pool_earliest", "_decision_sim",
     "_decision_pair_deltas", "_apply_decision_plasticity", "_apply_neuron_gain",
 )
+#: The per-bin LIF function each simulation stage calls once per bin it visits.
+BIN_CALLS = {"_decision_sim": "lif_integrate", "_conv_sim": "lif_step"}
 #: Phases, timed once per call.
 PHASES = ("train_layer1", "build_pooled_cache", "train_layer2", "evaluate")
 #: Runs of each row: preset wall time drifts by a quarter between runs on a
@@ -90,18 +100,35 @@ ROWS = {"preset-8x8": preset_8x8, "bars-32x32": bars_32x32}
 
 class StageClock:
     """Wraps the harness's stage and phase functions while active and sums
-    their calls and wall time."""
+    their calls and wall time, and the bins each simulation stage visits.
+    ``harness.DelayBuffer`` is replaced by a subclass that keeps the last two
+    buffers built, a ``_decision_sim`` call's forward and lateral ones, from
+    which the last bin of that call's window follows."""
 
     def __init__(self):
         self.calls = dict.fromkeys(STAGES + PHASES, 0)
         self.seconds = dict.fromkeys(STAGES + PHASES, 0.0)
+        self.bins = dict.fromkeys(BIN_CALLS, 0)
+        self.stopped_early = 0
+        self._inside = None
+        self._last_bin = -1
+        self._buffers = deque(maxlen=2)
         self._saved = {}
 
     def __enter__(self):
-        for name in STAGES + PHASES:
-            fn = getattr(harness, name)
-            self._saved[name] = fn
-            setattr(harness, name, self._wrap(name, fn))
+        wrapped = {name: self._wrap(name, getattr(harness, name)) for name in STAGES + PHASES}
+        wrapped.update({name: self._count(stage, getattr(harness, name)) for stage, name in BIN_CALLS.items()})
+        buffers = self._buffers
+
+        class KeptBuffer(harness.DelayBuffer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                buffers.append(self)
+
+        wrapped["DelayBuffer"] = KeptBuffer
+        for name, fn in wrapped.items():
+            self._saved[name] = getattr(harness, name)
+            setattr(harness, name, fn)
         return self
 
     def __exit__(self, *exc):
@@ -112,14 +139,37 @@ class StageClock:
     def _wrap(self, name, fn):
         @functools.wraps(fn)
         def timed(*args, **kwargs):
+            outer, self._inside = self._inside, name
+            if name in BIN_CALLS:
+                self._last_bin = -1
             t0 = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
                 self.seconds[name] += time.perf_counter() - t0
                 self.calls[name] += 1
+                if name == "_decision_sim":
+                    self.stopped_early += self._last_bin >= 0 and self._last_bin < self._window_end(args[3])
+                self._inside = outer
 
         return timed
+
+    def _count(self, stage, fn):
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            if self._inside == stage:
+                self.bins[stage] += 1
+                self._last_bin = args[2]
+            return fn(*args, **kwargs)
+
+        return counted
+
+    def _window_end(self, t_input: int) -> int:
+        """The last bin of the window of the ``_decision_sim`` call that built
+        the last two buffers."""
+        fwd, lat = self._buffers
+        hard_cap = max(t_input, fwd.last + 1) + harness.FLUSH_FACTOR * (fwd.d_max + 1)
+        return min(hard_cap - 1, max(t_input - 1, fwd.last, lat.last))
 
 
 def run_row(make) -> dict:
@@ -141,9 +191,11 @@ def run_row(make) -> dict:
             name: {
                 "calls": clock.calls[name],
                 "ms_per_call": 1e3 * clock.seconds[name] / clock.calls[name] if clock.calls[name] else None,
+                **({"bins_per_call": clock.bins[name] / clock.calls[name]} if name in BIN_CALLS else {}),
             }
             for name in STAGES
         },
+        "decision_stopped_early_share": clock.stopped_early / clock.calls["_decision_sim"],
         "state_hash": state_hash(res.net),
         "metrics_sha256": rows.hexdigest(),
         "accuracy": ev.accuracy,
@@ -169,6 +221,8 @@ def summarize(repeats: list[dict]) -> dict:
         "state_hash": repeats[0]["state_hash"],
         "metrics_sha256": repeats[0]["metrics_sha256"],
         "accuracy": repeats[0]["accuracy"],
+        "bins_per_call": {name: repeats[0]["stages"][name]["bins_per_call"] for name in BIN_CALLS},
+        "decision_stopped_early_share": repeats[0]["decision_stopped_early_share"],
         "median_wall_s": statistics.median(r["wall_s"] for r in repeats),
         "median_ms_per_call": ms,
     }

@@ -27,13 +27,15 @@ def lif_integrate(v, input_current, t, refractory_until, p: LIFParams):
 
     Input is ignored while ``t <= refractory_until``; the leak always runs
     (a reset membrane just decays from v_reset). Returns the new potential
-    and the boolean mask of neurons outside their refractory window.
+    and the boolean mask of neurons outside their refractory window. The
+    arguments are not written to.
     """
-    decay = math.exp(-1.0 / p.tau_m)
-    v = np.asarray(v, dtype=float) * decay
+    v = np.asarray(v, dtype=float) * math.exp(-1.0 / p.tau_m)
     open_mask = np.asarray(t > np.asarray(refractory_until))
-    v = np.where(open_mask, v + np.asarray(input_current, dtype=float), v)
-    return v, open_mask
+    if isinstance(v, np.ndarray) and v.shape == open_mask.shape == np.shape(input_current):
+        np.add(v, input_current, out=v, where=open_mask)
+        return v, open_mask
+    return np.where(open_mask, v + np.asarray(input_current, dtype=float), v), open_mask
 
 
 def lif_step(v, input_current, t, theta, refractory_until, p: LIFParams):
@@ -41,11 +43,15 @@ def lif_step(v, input_current, t, theta, refractory_until, p: LIFParams):
 
     Returns ``(v, refractory_until, spiked)``. Spiking requires being
     outside the refractory window; firing resets the potential to
-    ``v_reset`` and closes the window until ``t + t_ref``.
+    ``v_reset`` and closes the window until ``t + t_ref``. The arguments
+    are not written to.
     """
     v, open_mask = lif_integrate(v, input_current, t, refractory_until, p)
-    spiked = open_mask & (v >= np.asarray(theta, dtype=float))
-    v = np.where(spiked, p.v_reset, v)
+    spiked = open_mask & (v >= theta)
+    if spiked.shape == v.shape:
+        np.copyto(v, p.v_reset, where=spiked)
+    else:
+        v = np.where(spiked, p.v_reset, v)
     refractory_until = np.where(spiked, t + p.t_ref, np.asarray(refractory_until))
     return v, refractory_until, spiked
 
@@ -65,7 +71,9 @@ class DelayBuffer:
         self.last = -1
 
     def schedule(self, targets, weights, delays, t_emit) -> None:
-        targets, weights, delays, t_emit = np.broadcast_arrays(targets, weights, delays, t_emit)
+        targets, weights, delays = np.asarray(targets), np.asarray(weights), np.asarray(delays)
+        if not (np.ndim(t_emit) == 0 and targets.shape == weights.shape == delays.shape):
+            targets, weights, delays, t_emit = np.broadcast_arrays(targets, weights, delays, t_emit)
         if delays.size and (delays.min() < 0 or delays.max() > self.d_max):
             bad = int(delays[(delays < 0) | (delays > self.d_max)][0])
             raise DelayOutOfRange(f"delay {bad} outside [0, {self.d_max}]")

@@ -86,7 +86,13 @@ class EvalResult:
 
 
 def _conv_sim(net: Network, frames: np.ndarray):
-    """Run the convolutional sheet; returns (spike tensor, first-spike map)."""
+    """Run the convolutional sheet; returns (spike tensor, first-spike map).
+
+    The sheet steps from bin 0 and stops after the first spike bin from
+    which every conv neuron is refractory through the last bin of the
+    currents. The bins it leaves out are exact to skip: input is ignored
+    during a refractory window, so none of them could spike, and the spike
+    tensor and first-spike map are outputs of spike bins alone."""
     cur = conv_forward_currents(net, frames)
     t_tot = cur.shape[0]
     v = np.zeros(cur.shape[1:])
@@ -100,6 +106,8 @@ def _conv_sim(net: Network, frames: np.ndarray):
         if spk.any():
             spikes[t] = spk
             first = np.where(spk & ~np.isfinite(first), float(t), first)
+            if refr.min() >= t_tot - 1:
+                break
     return spikes, first
 
 
@@ -119,7 +127,18 @@ def _decision_sim(net: Network, pooled_t, pooled_unit, t_input: int, gate: Decen
     terms all up front, in pooled-spike order, and a firing bin's lateral
     edges by source neuron, then edge index. The loop drains all in-flight
     input after the stimulus ends, with a hard cap so self-sustaining
-    lateral loops cannot run forever."""
+    lateral loops cannot run forever: its last bin is
+    ``min(hard_cap - 1, max(t_input - 1, fwd.last, lat.last))``.
+
+    Only the bins in which a neuron can fire are visited; skipping the
+    others changes no spike, gate state or schedule, so the outputs are
+    those of a loop over every bin. With every ``theta`` positive the loop
+    starts at the first bin that carries forward input, since before it
+    every potential is exactly 0.0 (with no input at all, no bin is
+    visited); otherwise it starts at bin 0. It stops after the firing bin
+    from which every neuron is barred by the gate (see
+    :meth:`DecentralizeGate.may_fire`) or refractory through the last bin:
+    the gate could only suppress later candidates, which resets nothing."""
     lif = net.cfg.lif
     par = net.cfg.plasticity
     n = net.n_dec
@@ -131,7 +150,8 @@ def _decision_sim(net: Network, pooled_t, pooled_unit, t_input: int, gate: Decen
     dint = pl.delay_bins(net.df[:, pooled_unit], par)
     fwd.schedule(np.arange(n), net.wf[:, pooled_unit].T, dint.T, pooled_t[:, None])
     by_src = np.argsort(net.lat_src, kind="stable")
-    src_sorted = net.lat_src[by_src]
+    # the out-edges of neuron j, in edge order, are by_src[out_lo[j] : out_lo[j + 1]]
+    out_lo = np.searchsorted(net.lat_src[by_src], np.arange(n + 1)).tolist()
     lat_dint = pl.delay_bins(net.lat_d, par, pl.LATERAL_DELAY_FLOOR)
     v = np.zeros(n)
     refr = np.full(n, -(1 << 30), dtype=np.int64)
@@ -140,6 +160,9 @@ def _decision_sim(net: Network, pooled_t, pooled_unit, t_input: int, gate: Decen
     js: list[int] = []
     hard_cap = max(int(t_input), fwd.last + 1) + FLUSH_FACTOR * span
     t = 0
+    if (net.theta > 0).all():
+        fed = np.flatnonzero(fwd.rows.any(axis=1))
+        t = int(fed[0]) if fed.size else hard_cap
     while t < hard_cap and (t < t_input or t <= max(fwd.last, lat.last)):
         v, open_mask = lif_integrate(v, lat.read(t) + fwd.read(t), t, refr, lif)
         cand = np.nonzero(open_mask & (v >= net.theta))[0]
@@ -148,10 +171,14 @@ def _decision_sim(net: Network, pooled_t, pooled_unit, t_input: int, gate: Decen
             if fire.size:
                 v[fire] = lif.v_reset
                 refr[fire] = t + lif.t_ref
-                ts.extend([t] * fire.size)
-                js.extend(fire.tolist())
-                e = by_src[np.isin(src_sorted, fire)]
+                fired = fire.tolist()
+                ts.extend([t] * len(fired))
+                js.extend(fired)
+                e = np.concatenate([by_src[out_lo[j] : out_lo[j + 1]] for j in fired])
                 lat.schedule(net.lat_tgt[e], net.lat_w[e], lat_dint[e], t)
+                last = min(hard_cap - 1, max(int(t_input) - 1, fwd.last, lat.last))
+                if not (gate.may_fire() & (refr < last)).any():
+                    break
         t += 1
     return np.asarray(ts, np.int64), np.asarray(js, np.int64), gate.active_per_group()
 

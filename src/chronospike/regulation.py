@@ -147,6 +147,14 @@ class DecentralizeGate:
                 allowed[i] = True
         return allowed
 
+    def may_fire(self) -> np.ndarray:
+        """Boolean mask over neurons: True where :meth:`filter` would still let
+        the neuron fire, False for an uncommitted neuron of a full group.
+        Until :meth:`begin`, a False stays False: groups only fill."""
+        if not self.enabled:
+            return np.ones(self.class_of.shape[0], dtype=bool)
+        return self.committed | (self.group_count[self.class_of] < self.dc_upper)
+
     def active_per_group(self) -> np.ndarray:
         return self.group_count.copy()
 

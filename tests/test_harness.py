@@ -2,7 +2,9 @@
 
 import copy
 import dataclasses
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +26,8 @@ from test_plasticity import (
 from chronospike import gen_synthetic, harness, moving_bars_spec
 from chronospike import plasticity as pl
 from chronospike.config import HarnessParams, LIFParams, PlasticityParams
-from chronospike.core import DelayOutOfRange, lif_integrate
+from chronospike import core
+from chronospike.core import DelayBuffer, DelayOutOfRange, lif_integrate, lif_step
 from chronospike.harness import (
     _apply_decision_plasticity,
     _apply_neuron_gain,
@@ -53,7 +56,15 @@ from chronospike.plasticity import (
 )
 from chronospike.presets import moving_bars_acceptance_config
 from chronospike.regulation import DecentralizeGate
-from chronospike.topology import build_network, layer1_hash, load_checkpoint, save_checkpoint, state_hash
+from chronospike.topology import (
+    Network,
+    build_network,
+    conv_forward_currents,
+    layer1_hash,
+    load_checkpoint,
+    save_checkpoint,
+    state_hash,
+)
 
 
 def samples_for(cfg):
@@ -343,17 +354,27 @@ def assert_matches_loop(net, pooled_t, pooled_unit, gate_on):
 @settings(max_examples=200, deadline=None)
 def test_decision_sim_matches_loop_reference(data):
     """Bit for bit, on nets with shuffled and repeated lateral edges, with
-    the gate on and off."""
+    the gate on and off. Refractory windows reach past the input (``t_ref``
+    up to 20 against ``t_input`` 12), so the loop stops early once every
+    group is full; every forward weight is 0 in some draws, and in some a
+    threshold at or below 0 makes the loop start at bin 0."""
     draw = data.draw
-    net = order_net(draw(st.sampled_from([0.01, 3.0])), draw(st.integers(0, 3)))
+    net = order_net(draw(st.sampled_from([0.01, 3.0])), draw(st.integers(0, 20)))
     n, n_pool, m = net.n_dec, net.n_pool, draw(st.integers(0, 60))
-    net.wf = draw(hnp.arrays(float, (n, n_pool), elements=st.sampled_from((0.0,) + ORDERED_WEIGHTS)))
+    net.wf = draw(
+        st.one_of(
+            st.just(np.zeros((n, n_pool))),
+            hnp.arrays(float, (n, n_pool), elements=st.sampled_from((0.0,) + ORDERED_WEIGHTS)),
+        )
+    )
     net.df = draw(hnp.arrays(float, (n, n_pool), elements=st.floats(0.0, 3.0)))
     net.lat_src = draw(hnp.arrays(np.int64, m, elements=st.integers(0, n - 1)))
     net.lat_tgt = draw(hnp.arrays(np.int64, m, elements=st.integers(0, n - 1)))
     net.lat_w = draw(hnp.arrays(float, m, elements=st.sampled_from(ORDERED_WEIGHTS)))
     net.lat_d = draw(hnp.arrays(float, m, elements=st.floats(1.0, 3.0)))
     net.theta = draw(hnp.arrays(float, n, elements=st.sampled_from(THRESHOLDS)))
+    if draw(st.integers(0, 3)) == 0:
+        net.theta[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -1.0]))
     k = draw(st.integers(0, 12))
     pooled_t = draw(hnp.arrays(np.int64, k, elements=st.integers(0, 11)))
     pooled_unit = draw(hnp.arrays(np.int64, k, elements=st.integers(0, n_pool - 1)))
@@ -379,6 +400,147 @@ def test_decision_sim_adds_in_reference_order():
     net.lat_d = np.ones(24)
     dec_t, dec_j, _ = assert_matches_loop(net, np.zeros(13, np.int64), np.arange(13), False)
     assert dec_t.tolist() == [0, 0] and dec_j.tolist() == [0, 1]
+
+
+def test_decision_sim_stops_once_every_class_group_is_full(monkeypatch):
+    """A preset presentation at the initial weights fills every class group,
+    after which the loop stops: it steps fewer bins (``lif_integrate``
+    calls) than the reference loop over every bin, with the same outputs."""
+    cfg = moving_bars_acceptance_config(0)
+    sample = gen_synthetic(cfg.synthetic, 1)[0]
+    net = build_network(cfg, sample.frames.shape[1:])
+    _spikes, first = _conv_sim(net, sample.frames)
+    pooled_t, pooled_unit = harness._pooled_spikes(net, first)
+    bins = {}
+
+    def counted(key):
+        def integrate(*args):
+            bins[key] = bins.get(key, 0) + 1
+            return core.lif_integrate(*args)
+
+        return integrate
+
+    outs = []
+    for key, sim in (("harness", _decision_sim), ("reference", loop_decision_sim)):
+        monkeypatch.setattr(harness, "lif_integrate", counted(key))
+        monkeypatch.setitem(globals(), "lif_integrate", counted(key))
+        gate = DecentralizeGate(net.class_of, cfg.regulation.dc_upper, True)
+        outs.append(sim(net, pooled_t, pooled_unit, sample.frames.shape[0], gate))
+    assert (outs[0][2] == cfg.regulation.dc_upper).all()
+    for g, w in zip(*outs):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert 0 < bins["harness"] < bins["reference"]
+
+
+def loop_conv_sim(net: Network, frames: np.ndarray):
+    """Reference: the convolutional sheet stepped through every bin of its
+    currents; returns (spike tensor, first-spike map)."""
+    cur = conv_forward_currents(net, frames)
+    t_tot = cur.shape[0]
+    v = np.zeros(cur.shape[1:])
+    refr = np.full(cur.shape[1:], -(1 << 30), dtype=np.int64)
+    spikes = np.zeros(cur.shape, dtype=bool)
+    first = np.full(cur.shape[1:], np.inf)
+    theta = net.conv_theta[:, None, None]
+    lif = net.cfg.lif
+    for t in range(t_tot):
+        v, refr, spk = lif_step(v, cur[t], t, theta, refr, lif)
+        if spk.any():
+            spikes[t] = spk
+            first = np.where(spk & ~np.isfinite(first), float(t), first)
+    return spikes, first
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_conv_sim_matches_loop_reference(data):
+    """The conv sheet's spike tensor and first-spike map equal those of
+    :func:`loop_conv_sim`, the loop over every bin, bit for bit: with
+    ``t_ref`` from 0 to past the window, potentials exactly at ``theta``
+    (with ``tau_m`` tiny a potential is its bin's input), negative currents,
+    and bins in which every neuron fires."""
+    draw = data.draw
+    lif = LIFParams(tau_m=draw(st.sampled_from([0.01, 3.0])), t_ref=draw(st.integers(0, 24)))
+    net = build_network(tiny_cfg(lif=lif), (2, 4, 4))
+    shape = (draw(st.integers(1, 20)), net.n_maps) + net.conv_hw
+    cur = draw(hnp.arrays(float, shape, elements=st.sampled_from((0.0, 0.5, 1.0, 2.0, -1.0))))
+    for t in draw(st.lists(st.integers(0, shape[0] - 1), max_size=3)):
+        cur[t] = 2.0
+    net.conv_theta = draw(hnp.arrays(float, net.n_maps, elements=st.sampled_from((0.5, 1.0, 2.0))))
+    frames = np.zeros((shape[0], 2, 4, 4))
+    with (
+        mock.patch.object(harness, "conv_forward_currents", lambda _net, _frames: cur),
+        mock.patch.dict(globals(), conv_forward_currents=lambda _net, _frames: cur),
+    ):
+        got, want = _conv_sim(net, frames), loop_conv_sim(net, frames)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def old_lif_integrate(v, input_current, t, refractory_until, p: LIFParams):
+    decay = math.exp(-1.0 / p.tau_m)
+    v = np.asarray(v, dtype=float) * decay
+    open_mask = np.asarray(t > np.asarray(refractory_until))
+    v = np.where(open_mask, v + np.asarray(input_current, dtype=float), v)
+    return v, open_mask
+
+
+def old_lif_step(v, input_current, t, theta, refractory_until, p: LIFParams):
+    v, open_mask = old_lif_integrate(v, input_current, t, refractory_until, p)
+    spiked = open_mask & (v >= np.asarray(theta, dtype=float))
+    v = np.where(spiked, p.v_reset, v)
+    refractory_until = np.where(spiked, t + p.t_ref, np.asarray(refractory_until))
+    return v, refractory_until, spiked
+
+
+def old_schedule(buf, targets, weights, delays, t_emit) -> None:
+    targets, weights, delays, t_emit = np.broadcast_arrays(targets, weights, delays, t_emit)
+    if delays.size and (delays.min() < 0 or delays.max() > buf.d_max):
+        bad = int(delays[(delays < 0) | (delays > buf.d_max)][0])
+        raise DelayOutOfRange(f"delay {bad} outside [0, {buf.d_max}]")
+    rows = t_emit + delays
+    np.add.at(buf.rows.reshape(-1), (rows * buf.rows.shape[1] + targets).ravel(), weights.ravel())
+    buf.last = max(buf.last, int(rows.max(initial=-1)))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_lif_primitives_match_old_copies(data):
+    """``lif_integrate``, ``lif_step`` and ``DelayBuffer.schedule`` return
+    and write what their earlier versions did, bit for bit, with arguments of
+    one shape or broadcast (scalar input, per-map theta, a row of targets
+    against a column of emission bins), and leave their arguments alone."""
+    draw = data.draw
+    p = LIFParams(tau_m=draw(st.sampled_from([0.01, 3.0])), t_ref=draw(st.integers(0, 4)), v_reset=-0.25)
+    shape = draw(st.sampled_from([(5,), (2, 3, 3)]))
+    real = st.sampled_from((0.0, -0.0, 0.5, 1.0, 2.0, -1.0, 2.0**-53))
+    v = draw(hnp.arrays(float, shape, elements=real))
+    cur = draw(st.one_of(real, hnp.arrays(float, shape, elements=real)))
+    refr = draw(hnp.arrays(np.int64, shape, elements=st.integers(-3, 6)))
+    theta = draw(hnp.arrays(float, draw(st.sampled_from([shape, shape[:1] + (1,) * (len(shape) - 1)])), elements=real))
+    t = draw(st.integers(0, 5))
+    args = [copy.deepcopy(a) for a in (v, cur, refr, theta)]
+    got, want = lif_step(v, cur, t, theta, refr, p), old_lif_step(v, cur, t, theta, refr, p)
+    got += lif_integrate(v, cur, t, refr, p)
+    want += old_lif_integrate(v, cur, t, refr, p)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+    for a, b in zip((v, cur, refr, theta), args):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    k = draw(st.integers(0, 6))
+    targets = draw(hnp.arrays(np.int64, k, elements=st.integers(0, 3)))
+    weights = draw(hnp.arrays(float, k, elements=real))
+    delays = draw(hnp.arrays(np.int64, k, elements=st.integers(-1, 5)))
+    t_emit = draw(st.one_of(st.integers(0, 4), hnp.arrays(np.int64, (draw(st.integers(0, 3)), 1), elements=st.integers(0, 4))))
+    bufs = [DelayBuffer(12, 4, 4) for _ in range(2)]
+    for buf, schedule in zip(bufs, (DelayBuffer.schedule, old_schedule)):
+        try:
+            schedule(buf, targets, weights, delays, t_emit)
+            schedule(buf, targets[:1], weights[:1], delays[:1], 2)
+        except DelayOutOfRange as e:
+            buf.error = str(e)
+    assert bufs[0].rows.tobytes() == bufs[1].rows.tobytes() and bufs[0].last == bufs[1].last
+    assert getattr(bufs[0], "error", None) == getattr(bufs[1], "error", None)
 
 
 # -- presentation purity --------------------------------------------------------
