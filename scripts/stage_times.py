@@ -33,9 +33,11 @@ come from the same host.
 The two simulation stages also record the bins they visit per call,
 counted as their calls of the per-bin LIF function (``BIN_CALLS``), and
 the row records the share of ``_decision_sim`` calls that stopped early:
-that visited a bin and returned before the last bin of their window,
-``min(hard_cap - 1, max(t_input - 1, last forward row, last lateral row))``.
-Counting adds one Python call per visited bin to those stage times.
+that visited a bin and returned before the last bin of their window, the
+value ``harness._window_last`` returned last in the call. Counting adds one
+Python call per visited bin to those stage times, and noting
+``_window_last`` one more per call of it: once or twice per visited
+decision bin.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ import platform
 import statistics
 import sys
 import time
-from collections import deque
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,10 +101,8 @@ ROWS = {"preset-8x8": preset_8x8, "bars-32x32": bars_32x32}
 
 class StageClock:
     """Wraps the harness's stage and phase functions while active and sums
-    their calls and wall time, and the bins each simulation stage visits.
-    ``harness.DelayBuffer`` is replaced by a subclass that keeps the last two
-    buffers built, a ``_decision_sim`` call's forward and lateral ones, from
-    which the last bin of that call's window follows."""
+    their calls and wall time, the bins each simulation stage visits, and
+    the last bin of each decision window."""
 
     def __init__(self):
         self.calls = dict.fromkeys(STAGES + PHASES, 0)
@@ -112,20 +111,13 @@ class StageClock:
         self.stopped_early = 0
         self._inside = None
         self._last_bin = -1
-        self._buffers = deque(maxlen=2)
+        self._window_last = -1
         self._saved = {}
 
     def __enter__(self):
         wrapped = {name: self._wrap(name, getattr(harness, name)) for name in STAGES + PHASES}
         wrapped.update({name: self._count(stage, getattr(harness, name)) for stage, name in BIN_CALLS.items()})
-        buffers = self._buffers
-
-        class KeptBuffer(harness.DelayBuffer):
-            def __init__(self, *args):
-                super().__init__(*args)
-                buffers.append(self)
-
-        wrapped["DelayBuffer"] = KeptBuffer
+        wrapped["_window_last"] = self._note_window(harness._window_last)
         for name, fn in wrapped.items():
             self._saved[name] = getattr(harness, name)
             setattr(harness, name, fn)
@@ -149,7 +141,7 @@ class StageClock:
                 self.seconds[name] += time.perf_counter() - t0
                 self.calls[name] += 1
                 if name == "_decision_sim":
-                    self.stopped_early += self._last_bin >= 0 and self._last_bin < self._window_end(args[3])
+                    self.stopped_early += 0 <= self._last_bin < self._window_last
                 self._inside = outer
 
         return timed
@@ -164,12 +156,13 @@ class StageClock:
 
         return counted
 
-    def _window_end(self, t_input: int) -> int:
-        """The last bin of the window of the ``_decision_sim`` call that built
-        the last two buffers."""
-        fwd, lat = self._buffers
-        hard_cap = max(t_input, fwd.last + 1) + harness.FLUSH_FACTOR * (fwd.d_max + 1)
-        return min(hard_cap - 1, max(t_input - 1, fwd.last, lat.last))
+    def _note_window(self, fn):
+        @functools.wraps(fn)
+        def noted(*args, **kwargs):
+            self._window_last = fn(*args, **kwargs)
+            return self._window_last
+
+        return noted
 
 
 def run_row(make) -> dict:

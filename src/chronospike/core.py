@@ -27,15 +27,13 @@ def lif_integrate(v, input_current, t, refractory_until, p: LIFParams):
 
     Input is ignored while ``t <= refractory_until``; the leak always runs
     (a reset membrane just decays from v_reset). Returns the new potential
-    and the boolean mask of neurons outside their refractory window. The
-    arguments are not written to.
+    and the boolean mask of neurons outside their refractory window.
     """
-    v = np.asarray(v, dtype=float) * math.exp(-1.0 / p.tau_m)
+    decay = math.exp(-1.0 / p.tau_m)
+    v = np.asarray(v, dtype=float) * decay
     open_mask = np.asarray(t > np.asarray(refractory_until))
-    if isinstance(v, np.ndarray) and v.shape == open_mask.shape == np.shape(input_current):
-        np.add(v, input_current, out=v, where=open_mask)
-        return v, open_mask
-    return np.where(open_mask, v + np.asarray(input_current, dtype=float), v), open_mask
+    v = np.where(open_mask, v + np.asarray(input_current, dtype=float), v)
+    return v, open_mask
 
 
 def lif_step(v, input_current, t, theta, refractory_until, p: LIFParams):
@@ -43,15 +41,11 @@ def lif_step(v, input_current, t, theta, refractory_until, p: LIFParams):
 
     Returns ``(v, refractory_until, spiked)``. Spiking requires being
     outside the refractory window; firing resets the potential to
-    ``v_reset`` and closes the window until ``t + t_ref``. The arguments
-    are not written to.
+    ``v_reset`` and closes the window until ``t + t_ref``.
     """
     v, open_mask = lif_integrate(v, input_current, t, refractory_until, p)
-    spiked = open_mask & (v >= theta)
-    if spiked.shape == v.shape:
-        np.copyto(v, p.v_reset, where=spiked)
-    else:
-        v = np.where(spiked, p.v_reset, v)
+    spiked = open_mask & (v >= np.asarray(theta, dtype=float))
+    v = np.where(spiked, p.v_reset, v)
     refractory_until = np.where(spiked, t + p.t_ref, np.asarray(refractory_until))
     return v, refractory_until, spiked
 

@@ -121,14 +121,21 @@ def _pooled_spikes(net: Network, conv_first: np.ndarray):
     return t[order], units[order]
 
 
+def _window_last(t_input: int, fwd: DelayBuffer, lat: DelayBuffer, hard_cap: int) -> int:
+    """The last bin of a decision window: the stimulus's last bin or the
+    latest forward or lateral arrival scheduled so far, whichever is later,
+    but below ``hard_cap``."""
+    return min(hard_cap - 1, max(t_input - 1, fwd.last, lat.last))
+
+
 def _decision_sim(net: Network, pooled_t, pooled_unit, t_input: int, gate: DecentralizeGate):
     """Step the decision layer bin by bin, forward and lateral spikes each
     landing exactly d bins later through a :class:`DelayBuffer`: the forward
     terms all up front, in pooled-spike order, and a firing bin's lateral
     edges by source neuron, then edge index. The loop drains all in-flight
     input after the stimulus ends, with a hard cap so self-sustaining
-    lateral loops cannot run forever: its last bin is
-    ``min(hard_cap - 1, max(t_input - 1, fwd.last, lat.last))``.
+    lateral loops cannot run forever: its last bin is the one
+    :func:`_window_last` returns.
 
     Only the bins in which a neuron can fire are visited; skipping the
     others changes no spike, gate state or schedule, so the outputs are
@@ -142,9 +149,10 @@ def _decision_sim(net: Network, pooled_t, pooled_unit, t_input: int, gate: Decen
     lif = net.cfg.lif
     par = net.cfg.plasticity
     n = net.n_dec
+    t_input = int(t_input)
     span = int(round(par.d_max)) + 1
     # forward arrivals land by pooled_t.max() + d_max, so this holds hard_cap + d_max + 1 rows
-    n_bins = max(int(t_input), int(pooled_t.max(initial=-1)) + span) + (FLUSH_FACTOR + 1) * span
+    n_bins = max(t_input, int(pooled_t.max(initial=-1)) + span) + (FLUSH_FACTOR + 1) * span
     fwd = DelayBuffer(n_bins, n, par.d_max)
     lat = DelayBuffer(n_bins, n, max(pl.LATERAL_DELAY_FLOOR, par.d_max))
     dint = pl.delay_bins(net.df[:, pooled_unit], par)
@@ -158,12 +166,12 @@ def _decision_sim(net: Network, pooled_t, pooled_unit, t_input: int, gate: Decen
     gate.begin()
     ts: list[int] = []
     js: list[int] = []
-    hard_cap = max(int(t_input), fwd.last + 1) + FLUSH_FACTOR * span
+    hard_cap = max(t_input, fwd.last + 1) + FLUSH_FACTOR * span
     t = 0
     if (net.theta > 0).all():
         fed = np.flatnonzero(fwd.rows.any(axis=1))
         t = int(fed[0]) if fed.size else hard_cap
-    while t < hard_cap and (t < t_input or t <= max(fwd.last, lat.last)):
+    while t <= _window_last(t_input, fwd, lat, hard_cap):
         v, open_mask = lif_integrate(v, lat.read(t) + fwd.read(t), t, refr, lif)
         cand = np.nonzero(open_mask & (v >= net.theta))[0]
         if cand.size:
@@ -176,8 +184,7 @@ def _decision_sim(net: Network, pooled_t, pooled_unit, t_input: int, gate: Decen
                 js.extend(fired)
                 e = np.concatenate([by_src[out_lo[j] : out_lo[j + 1]] for j in fired])
                 lat.schedule(net.lat_tgt[e], net.lat_w[e], lat_dint[e], t)
-                last = min(hard_cap - 1, max(int(t_input) - 1, fwd.last, lat.last))
-                if not (gate.may_fire() & (refr < last)).any():
+                if not (gate.may_fire() & (refr < _window_last(t_input, fwd, lat, hard_cap))).any():
                     break
         t += 1
     return np.asarray(ts, np.int64), np.asarray(js, np.int64), gate.active_per_group()

@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import math
 import tracemalloc
 from unittest import mock
 
@@ -477,22 +476,6 @@ def test_conv_sim_matches_loop_reference(data):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
-def old_lif_integrate(v, input_current, t, refractory_until, p: LIFParams):
-    decay = math.exp(-1.0 / p.tau_m)
-    v = np.asarray(v, dtype=float) * decay
-    open_mask = np.asarray(t > np.asarray(refractory_until))
-    v = np.where(open_mask, v + np.asarray(input_current, dtype=float), v)
-    return v, open_mask
-
-
-def old_lif_step(v, input_current, t, theta, refractory_until, p: LIFParams):
-    v, open_mask = old_lif_integrate(v, input_current, t, refractory_until, p)
-    spiked = open_mask & (v >= np.asarray(theta, dtype=float))
-    v = np.where(spiked, p.v_reset, v)
-    refractory_until = np.where(spiked, t + p.t_ref, np.asarray(refractory_until))
-    return v, refractory_until, spiked
-
-
 def old_schedule(buf, targets, weights, delays, t_emit) -> None:
     targets, weights, delays, t_emit = np.broadcast_arrays(targets, weights, delays, t_emit)
     if delays.size and (delays.min() < 0 or delays.max() > buf.d_max):
@@ -505,28 +488,12 @@ def old_schedule(buf, targets, weights, delays, t_emit) -> None:
 
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_lif_primitives_match_old_copies(data):
-    """``lif_integrate``, ``lif_step`` and ``DelayBuffer.schedule`` return
-    and write what their earlier versions did, bit for bit, with arguments of
-    one shape or broadcast (scalar input, per-map theta, a row of targets
-    against a column of emission bins), and leave their arguments alone."""
+def test_schedule_matches_old_copy(data):
+    """``DelayBuffer.schedule`` writes and raises what its earlier version
+    did, bit for bit, with arguments of one shape or broadcast (a row of
+    targets against a column of emission bins, a scalar emission bin)."""
     draw = data.draw
-    p = LIFParams(tau_m=draw(st.sampled_from([0.01, 3.0])), t_ref=draw(st.integers(0, 4)), v_reset=-0.25)
-    shape = draw(st.sampled_from([(5,), (2, 3, 3)]))
     real = st.sampled_from((0.0, -0.0, 0.5, 1.0, 2.0, -1.0, 2.0**-53))
-    v = draw(hnp.arrays(float, shape, elements=real))
-    cur = draw(st.one_of(real, hnp.arrays(float, shape, elements=real)))
-    refr = draw(hnp.arrays(np.int64, shape, elements=st.integers(-3, 6)))
-    theta = draw(hnp.arrays(float, draw(st.sampled_from([shape, shape[:1] + (1,) * (len(shape) - 1)])), elements=real))
-    t = draw(st.integers(0, 5))
-    args = [copy.deepcopy(a) for a in (v, cur, refr, theta)]
-    got, want = lif_step(v, cur, t, theta, refr, p), old_lif_step(v, cur, t, theta, refr, p)
-    got += lif_integrate(v, cur, t, refr, p)
-    want += old_lif_integrate(v, cur, t, refr, p)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
-    for a, b in zip((v, cur, refr, theta), args):
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
     k = draw(st.integers(0, 6))
     targets = draw(hnp.arrays(np.int64, k, elements=st.integers(0, 3)))
     weights = draw(hnp.arrays(float, k, elements=real))

@@ -59,20 +59,18 @@ def test_benchmark_trace_targets_exist(monkeypatch):
 def test_stage_time_targets_exist(monkeypatch):
     """Every ``harness`` name ``scripts/stage_times.py`` wraps or reads
     exists: its stages, phases, the per-bin LIF functions it counts under
-    the two simulation stages, and the buffer class and flush factor it
-    finds a decision window's last bin from. A refactor that renames one
-    fails here, not after a run of the script. Entering and leaving the
-    clock puts every name back."""
+    the two simulation stages, and the function that gives a decision
+    window's last bin. A refactor that renames one fails here, not after a
+    run of the script. Entering and leaving the clock puts every name back."""
     spec = importlib.util.spec_from_file_location("stage_times", ROOT / "scripts" / "stage_times.py")
     stage_times = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, stage_times)
     spec.loader.exec_module(stage_times)
     harness = stage_times.harness
     bins = stage_times.BIN_CALLS
-    names = stage_times.STAGES + stage_times.PHASES + tuple(bins.values()) + ("DelayBuffer",)
+    names = stage_times.STAGES + stage_times.PHASES + tuple(bins.values()) + ("_window_last",)
     assert set(bins) <= set(stage_times.STAGES)
     assert [name for name in names if not callable(getattr(harness, name, None))] == []
-    assert isinstance(harness.FLUSH_FACTOR, int)
     originals = {name: getattr(harness, name) for name in names}
     with stage_times.StageClock():
         assert all(getattr(harness, name) is not fn for name, fn in originals.items())
