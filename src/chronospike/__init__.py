@@ -18,7 +18,7 @@ from .config import (
     load_config,
     save_config,
 )
-from .core import DelayBuffer, DelayOutOfRange, SpikeRecord, lif_integrate, lif_step
+from .core import DelayBuffer, DelayOutOfRange, lif_integrate, lif_step
 from .events import (
     DecodeError,
     EventStream,
@@ -67,7 +67,6 @@ __all__ = [
     "PlasticityParams",
     "RegulationParams",
     "RunConfig",
-    "SpikeRecord",
     "StateError",
     "SyntheticSpec",
     "TopologyParams",

@@ -11,7 +11,8 @@ run.
 Exit codes: 0 success, 1 an internal fault (a traceback) or an ``ablate``
 variant raised (the other variants and the table are still written), 2
 input problem (missing or malformed files, bad config keys or values, empty
-datasets, a dataset of another frame shape than the checkpoint's), 3 state
+datasets, a dataset of another frame shape than the checkpoint's, a sample
+label outside the config's classes), 3 state
 mismatch (checkpoint format, version, stored config or config hash
 conflicts), 4 training finished without delay convergence (all results are
 still written). Input faults are the named errors of ``_INPUT_ERRORS``:
@@ -100,18 +101,28 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _labelled(samples, n_classes: int, source):
+    """``samples``, once every label is a class index below ``n_classes``;
+    otherwise a :class:`ConfigError` naming ``source`` and the first bad label."""
+    for i, s in enumerate(samples):
+        if not 0 <= s.label < n_classes:
+            raise ConfigError(f"{source}: sample {i} has label {s.label}, not one of the classes 0..{n_classes - 1}")
+    return samples
+
+
 def _load_data(cfg: RunConfig):
     """Training and test samples from whichever source the config names."""
+    n = cfg.topology.n_classes
     if cfg.synthetic is not None:
         train_s = gen_synthetic(cfg.synthetic, cfg.synthetic_train_per_class, seed_offset=0)
         test_s = gen_synthetic(cfg.synthetic, cfg.synthetic_test_per_class, seed_offset=1)
-        return train_s, test_s
+        return _labelled(train_s, n, "synthetic spec"), _labelled(test_s, n, "synthetic spec")
     if cfg.train_data is None:
         raise ConfigError("config names neither a synthetic spec nor train_data")
-    train_s, _ = load_dataset(cfg.train_data)
+    train_s = _labelled(load_dataset(cfg.train_data)[0], n, cfg.train_data)
     test_s = None
     if cfg.test_data is not None:
-        test_s, _ = load_dataset(cfg.test_data)
+        test_s = _labelled(load_dataset(cfg.test_data)[0], n, cfg.test_data)
     return train_s, test_s
 
 
@@ -306,6 +317,7 @@ def cmd_eval(args) -> int:
             f"{data_path}: frames are (P, H, W) = {shape}, but the checkpoint's network takes {net.input_shape}",
             EXIT_INPUT,
         )
+    _labelled(samples, net.n_classes, data_path)
 
     limits = _parse_limits(args.limit_frames)
     out_dir = Path(args.out) if args.out else None

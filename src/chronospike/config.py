@@ -34,7 +34,9 @@ class ConfigError(ValueError):
 #: config edit. ``"disable"`` names the mechanism added to
 #: ``RunConfig.disabled``; every other key replaces a ``RunConfig`` field.
 #: Random frozen delays are the learned mode's initial draws with delay
-#: learning off.
+#: learning off. ``homeo`` (no-interval-homeostasis) stops interval
+#: homeostasis of the decision layer only: layer-1 training applies
+#: ``interval_gain`` to the conv kernels whatever ``disabled`` holds.
 VARIANTS: dict[str, dict[str, Any]] = {
     "full": {},
     "no-interval-homeostasis": {"disable": "homeo"},
@@ -276,8 +278,10 @@ class RunConfig:
     pathology ablation of the inhibitory rules: lateral edges from
     inhibitory neurons get the excitatory delay rule and the excitatory
     weight domain [0, w_max] instead of [w_inh_min, 0], so nothing keeps
-    them inhibitory once learning moves them. Each field states its own
-    bound; each section checks its own fields.
+    them inhibitory once learning moves them. ``disabled`` names mechanisms
+    from :data:`DISABLE_CHOICES`; ``homeo`` among them turns off the
+    decision layer's interval homeostasis, not layer 1's. Each field states
+    its own bound; each section checks its own fields.
     """
 
     seed: int = bounded(0, min=0)

@@ -10,7 +10,6 @@ never later.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,27 +78,3 @@ class DelayBuffer:
     def read(self, t: int) -> np.ndarray:
         return self.rows[t]
 
-
-@dataclass
-class SpikeRecord:
-    """All spikes of one presentation, by layer, in emission order."""
-
-    conv_t: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    conv_map: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    conv_y: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    conv_x: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    pooled_t: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    pooled_unit: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    decision_t: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    decision_neuron: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-
-    def decision_counts(self, class_of: np.ndarray, n_classes: int) -> np.ndarray:
-        counts = np.zeros(n_classes, dtype=np.int64)
-        if self.decision_neuron.size:
-            np.add.at(counts, class_of[self.decision_neuron], 1)
-        return counts
-
-    def class_first_spike(self, class_of: np.ndarray, n_classes: int) -> np.ndarray:
-        first = np.full(n_classes, np.inf)
-        np.minimum.at(first, class_of[self.decision_neuron], self.decision_t)
-        return first

@@ -180,9 +180,9 @@ def bin_frames(
     width, height = stream.sensor_size
     frames = np.zeros((max_frames, 2, height, width), dtype=np.uint8)
     if len(stream):
-        bins = (stream.t * int(round(fps))) // 1_000_000 if float(fps).is_integer() else np.floor(
-            stream.t * fps / 1e6
-        ).astype(np.int64)
+        # at an integer fps this is t * fps // 10**6 exactly while t * fps < 2**53
+        # and the bin is below 2**33, which covers every bin a frames array can hold
+        bins = np.floor(stream.t * fps / 1e6).astype(np.int64)
         keep = bins < max_frames
         frames[bins[keep], stream.polarity[keep], stream.y[keep], stream.x[keep]] = 1
     return FrameSequence(frames, bin_width_ms=1000.0 / fps, label=label, subject_id=subject_id)

@@ -26,16 +26,9 @@ import numpy as np
 
 from . import plasticity as pl
 from .config import RunConfig
-from .core import DelayBuffer, SpikeRecord, lif_integrate, lif_step
+from .core import DelayBuffer, lif_integrate, lif_step
 from .events import FrameSequence
-from .regulation import (
-    DecentralizeGate,
-    DecisionWindow,
-    FreezeTracker,
-    ema_update,
-    interval_gain,
-    threshold_step,
-)
+from .regulation import DecentralizeGate, FreezeTracker, ema_update, interval_gain, threshold_step
 from .topology import Network, build_network, conv_forward_currents, layer1_hash, pool_earliest
 
 #: A presentation runs at most this many spans of d_max + 1 bins past its
@@ -45,7 +38,18 @@ FLUSH_FACTOR = 4
 
 @dataclass
 class PresentationResult:
-    record: SpikeRecord
+    """One presentation's spikes and their readout. ``conv_spikes`` is the
+    [bins, n_maps, Hc, Wc] spike tensor, None when the pooled spikes came
+    from a cache; pooled and decision spikes are (bin, unit) arrays in
+    emission order. ``counts`` and ``first_class`` hold each class's decision
+    spikes and earliest decision bin (inf if none), and ``group_active``
+    each class group's committed neurons."""
+
+    conv_spikes: np.ndarray | None
+    pooled_t: np.ndarray
+    pooled_unit: np.ndarray
+    decision_t: np.ndarray
+    decision_neuron: np.ndarray
     counts: np.ndarray
     first_class: np.ndarray
     group_active: np.ndarray
@@ -190,23 +194,17 @@ def _decision_sim(net: Network, pooled_t, pooled_unit, t_input: int, gate: Decen
     return np.asarray(ts, np.int64), np.asarray(js, np.int64), gate.active_per_group()
 
 
-def run_presentation(
-    net: Network,
-    frames: np.ndarray,
-    limit_frames: int | None = None,
-    pooled=None,
-    collect_conv: bool = False,
-) -> PresentationResult:
+def run_presentation(net: Network, frames: np.ndarray, pooled=None) -> PresentationResult:
     """Run one sample through the full network without any learning.
 
     Membrane state and buffers live only inside this call, so the network
-    object is untouched. ``pooled`` short-circuits the convolutional stage
-    with cached pooled spikes (valid whenever layer 1 is not changing). The
-    per-class activity gate is on unless decentralization is disabled.
+    object is untouched. The stimulus lasts all of ``frames``; a caller that
+    shows fewer bins cuts them. ``pooled`` short-circuits the convolutional
+    stage with cached pooled spikes (valid whenever layer 1 is not
+    changing), and the result then holds no conv spikes. The per-class
+    activity gate is on unless decentralization is disabled.
     """
     cfg = net.cfg
-    if limit_frames is not None:
-        frames = frames[: int(limit_frames)]
     if pooled is None:
         spikes, first = _conv_sim(net, frames)
         pooled_t, pooled_unit = _pooled_spikes(net, first)
@@ -215,23 +213,10 @@ def run_presentation(
         pooled_t, pooled_unit = pooled
     gate = DecentralizeGate(net.class_of, cfg.regulation.dc_upper, not cfg.is_disabled("decentralize"))
     dec_t, dec_j, group_active = _decision_sim(net, pooled_t, pooled_unit, frames.shape[0], gate)
-    record = SpikeRecord(
-        pooled_t=pooled_t,
-        pooled_unit=pooled_unit,
-        decision_t=dec_t,
-        decision_neuron=dec_j,
-    )
-    if collect_conv and spikes is not None:
-        t_idx, m_idx, y_idx, x_idx = np.nonzero(spikes)
-        record.conv_t, record.conv_map, record.conv_y, record.conv_x = (
-            t_idx.astype(np.int64),
-            m_idx.astype(np.int64),
-            y_idx.astype(np.int64),
-            x_idx.astype(np.int64),
-        )
-    counts = record.decision_counts(net.class_of, net.n_classes)
-    first_class = record.class_first_spike(net.class_of, net.n_classes)
-    return PresentationResult(record, counts, first_class, group_active)
+    counts = np.bincount(net.class_of[dec_j], minlength=net.n_classes)
+    first_class = np.full(net.n_classes, np.inf)
+    np.minimum.at(first_class, net.class_of[dec_j], dec_t)
+    return PresentationResult(spikes, pooled_t, pooled_unit, dec_t, dec_j, counts, first_class, group_active)
 
 
 # -- readout and reward ------------------------------------------------------
@@ -446,8 +431,7 @@ def _train_phase(net: Network, samples, phase: str, max_epochs: int, freeze, pre
     """
     hp = net.cfg.harness
     delay_on = net.cfg.delay_learning_on
-    tracker = FreezeTracker(freeze[2].size, hp.freeze_scale * net.cfg.plasticity.d_max, hp.freeze_window)
-    tracker.ema, tracker.n_obs, tracker.frozen = freeze
+    tracker = FreezeTracker(*freeze, hp.freeze_scale * net.cfg.plasticity.d_max, hp.freeze_window)
     presentations = epochs = 0
     for epoch in range(max_epochs):
         epochs = epoch + 1
@@ -525,8 +509,6 @@ def train_layer2(net: Network, samples: list[FrameSequence], pooled_cache, metri
     reg = cfg.regulation
     hp = cfg.harness
     delay_on = cfg.delay_learning_on
-    window = DecisionWindow(net.n_classes, reg.decision_window_per_class * net.n_classes)
-    window.restore(net.decision_window)
     n_in = net.n_pool + np.bincount(net.lat_tgt, minlength=net.n_dec)
     violations = 0
 
@@ -542,18 +524,15 @@ def train_layer2(net: Network, samples: list[FrameSequence], pooled_cache, metri
         d_before_l = net.lat_d.copy()
 
         if r != 0.0:
-            deltas = _decision_pair_deltas(
-                net, pres.record.pooled_t, pres.record.pooled_unit,
-                pres.record.decision_t, pres.record.decision_neuron,
-            )
+            deltas = _decision_pair_deltas(net, pres.pooled_t, pres.pooled_unit, pres.decision_t, pres.decision_neuron)
             _apply_decision_plasticity(net, r, deltas, delay_on)
 
-        counts_per_neuron = np.bincount(pres.record.decision_neuron, minlength=net.n_dec)
+        counts_per_neuron = np.bincount(pres.decision_neuron, minlength=net.n_dec)
         ema_update(net.act_short, counts_per_neuron, reg.activity_window)
         ema_update(net.act_long, counts_per_neuron, reg.long_window)
         if verdict is not None and not cfg.is_disabled("decision-homeo"):
-            window.push(verdict)
-            k_class = window.gains()
+            net.decision_window.push(verdict)
+            k_class = net.decision_window.gains()
             if np.any(k_class != 0.0):
                 _apply_neuron_gain(net, k_class[net.class_of], delay_on)
         if not cfg.is_disabled("homeo"):
@@ -572,8 +551,6 @@ def train_layer2(net: Network, samples: list[FrameSequence], pooled_cache, metri
     freeze = (net.freeze_ema, net.freeze_n, net.frozen)
     res = _train_phase(net, samples, "layer2", hp.max_epochs_l2, freeze, present, metrics)
     res.gate_violations = violations
-    net.decision_window.clear()
-    net.decision_window.extend(window.snapshot())
     net.phase = "eval"
     return res
 
@@ -632,12 +609,7 @@ def evaluate(
     totals = np.zeros(c, dtype=np.int64)
     correct = 0
     for i, s in enumerate(samples):
-        pres = run_presentation(
-            net,
-            s.frames,
-            limit_frames=limit_frames,
-            collect_conv=spike_rows is not None,
-        )
+        pres = run_presentation(net, s.frames if limit_frames is None else s.frames[: int(limit_frames)])
         verdict = majority_vote(pres.counts, pres.first_class)
         if verdict is None:
             abstained[s.label] += 1
@@ -647,12 +619,12 @@ def evaluate(
             if verdict == s.label:
                 correct += 1
         if spike_rows is not None:
-            rec = pres.record
-            conv = np.ravel_multi_index((rec.conv_map, rec.conv_y, rec.conv_x), (net.n_maps,) + net.conv_hw)
+            # conv neuron (m * Hc + y) * Wc + x, in bin then neuron order
+            conv_t, conv = np.nonzero(pres.conv_spikes.reshape(pres.conv_spikes.shape[0], -1))
             for layer, neuron, t in (
-                ("conv", conv, rec.conv_t),
-                ("pooled", rec.pooled_unit, rec.pooled_t),
-                ("decision", rec.decision_neuron, rec.decision_t),
+                ("conv", conv, conv_t),
+                ("pooled", pres.pooled_unit, pres.pooled_t),
+                ("decision", pres.decision_neuron, pres.decision_t),
             ):
                 spike_rows.extend((i, layer, j, tj) for j, tj in zip(neuron.tolist(), t.tolist()))
     return EvalResult(

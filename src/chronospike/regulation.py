@@ -74,6 +74,10 @@ class DecisionWindow:
     an abstention is not pushed, and the caller applies no gains for it, so
     one surplus is charged once per decision rather than once per
     presentation.
+
+    The network owns its window (``Network.decision_window``), which phase 2
+    pushes to in place; checkpoints store ``buf`` as a list, and
+    :meth:`restore` rebuilds the window and its counts from one.
     """
 
     def __init__(self, n_classes: int, length: int):
@@ -98,9 +102,6 @@ class DecisionWindow:
             return np.zeros(self.n_classes)
         p_target = len(self.buf) / self.n_classes
         return (p_target - self.counts.astype(float)) / p_target
-
-    def snapshot(self) -> list[int]:
-        return list(self.buf)
 
     def restore(self, values) -> None:
         self.buf.clear()
@@ -166,14 +167,16 @@ class FreezeTracker:
     unit has been observed for at least ``window`` presentations and its EMA
     sits below ``threshold``, it freezes, permanently: its delays receive no
     further updates. Weight learning is unaffected.
+
+    The tracker holds no state of its own: :meth:`update` writes in place to
+    the ``ema``, ``n_obs`` and ``frozen`` arrays it is given, a phase's
+    network arrays in training, so a checkpoint carries the tracker's state.
     """
 
-    def __init__(self, n: int, threshold: float, window: int):
+    def __init__(self, ema: np.ndarray, n_obs: np.ndarray, frozen: np.ndarray, threshold: float, window: int):
+        self.ema, self.n_obs, self.frozen = ema, n_obs, frozen
         self.threshold = threshold
         self.window = int(window)
-        self.ema = np.zeros(n)
-        self.n_obs = np.zeros(n, dtype=np.int64)
-        self.frozen = np.zeros(n, dtype=bool)
 
     def update(self, mean_abs_dd: np.ndarray) -> None:
         live = ~self.frozen

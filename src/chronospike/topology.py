@@ -13,13 +13,13 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from collections import deque
 from pathlib import Path
 
 import numpy as np
 
 from . import plasticity as pl
 from .config import ConfigError, RunConfig, canonical_json, config_hash, model_identity
+from .regulation import DecisionWindow
 
 CHECKPOINT_FORMAT = "chronospike-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -133,9 +133,7 @@ class Network:
         self.freeze_ema = np.zeros(self.n_dec)
         self.freeze_n = np.zeros(self.n_dec, dtype=np.int64)
 
-        self.decision_window: deque[int] = deque(
-            maxlen=cfg.regulation.decision_window_per_class * top.n_classes
-        )
+        self.decision_window = DecisionWindow(top.n_classes, cfg.regulation.decision_window_per_class * top.n_classes)
         self.rng = rng
         self.phase = "layer1"
 
@@ -235,7 +233,7 @@ def network_payload(net: Network) -> dict:
         "config_hash": config_hash(net.cfg),
         "input_shape": list(net.input_shape),
         "phase": net.phase,
-        "decision_window": list(net.decision_window),
+        "decision_window": list(net.decision_window.buf),
         "arrays": arrays,
         "rng": _jsonable(net.rng.bit_generator.state),
     }
@@ -315,12 +313,11 @@ def load_checkpoint(path: str | Path) -> Network:
         if a.size and (a.min() < floor or a.max() > hi):
             raise StateError(f"{path}: array {name} holds a delay outside [{floor:g}, {hi:g}]")
     window = payload["decision_window"]
-    kept = net.decision_window.maxlen
+    kept = net.decision_window.buf.maxlen
     if not (isinstance(window, list) and len(window) <= kept
             and all(type(c) is int and 0 <= c < net.n_classes for c in window)):
         raise StateError(f"{path}: decision_window is not a list of at most {kept} class indices")
-    net.decision_window.clear()
-    net.decision_window.extend(window)
+    net.decision_window.restore(window)
     net.phase = payload["phase"]
     try:
         # json turns the uint64 state numbers into ints, which numpy accepts back

@@ -617,13 +617,13 @@ def test_eval_dump_spikes_csv(ws, tmp_path, capsys):
     assert rc == 0
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "sample,layer,neuron,t_bin"
-    # every spike of every sample's record, conv neurons as (m * Hc + y) * Wc + x
+    # every spike of every sample's presentation, conv neurons as (m * Hc + y) * Wc + x
     net = load_checkpoint(ws["out1"] / "checkpoint_final.json")
     hc, wc = net.conv_hw
     want = []
     for i, s in enumerate(load_dataset(ws["test_ds"])[0]):
-        rec = run_presentation(net, s.frames, collect_conv=True).record
-        for t, m, y, x in zip(rec.conv_t, rec.conv_map, rec.conv_y, rec.conv_x):
+        rec = run_presentation(net, s.frames)
+        for t, m, y, x in zip(*np.nonzero(rec.conv_spikes)):
             want.append(f"{i},conv,{(m * hc + y) * wc + x},{t}")
         want += [f"{i},pooled,{u},{t}" for t, u in zip(rec.pooled_t, rec.pooled_unit)]
         want += [f"{i},decision,{j},{t}" for t, j in zip(rec.decision_t, rec.decision_neuron)]
@@ -811,6 +811,29 @@ def _bad_edge(spec):
     spec["embedded_delays"][0][0] = [[0, 1, 1], 3]
 
 
+def _relabelled(tmp_path, ws, label):
+    """The test set, its second sample relabelled ``label``, as labels.cspk."""
+    samples, _ = load_dataset(ws["test_ds"])
+    samples[1] = dataclasses.replace(samples[1], label=label)
+    path = tmp_path / "labels.cspk"
+    save_dataset(path, samples)
+    return path
+
+
+def _on_labels(tmp_path, ws, command, label):
+    """``command`` on a config whose training set has one sample labelled ``label``."""
+    cfg = json.loads(ws["cfg_path"].read_text())
+    cfg["train_data"] = str(_relabelled(tmp_path, ws, label))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return [command, "--config", str(path), "--out", str(tmp_path / "t")]
+
+
+def _eval_on_labels(tmp_path, ws, label):
+    data = _relabelled(tmp_path, ws, label)
+    return ["eval", "--checkpoint", str(ws["out1"] / "checkpoint_final.json"), "--data", str(data)]
+
+
 # name: (argv built from tmp_path and ws, a text the error line must hold)
 INPUT_PROBES = {
     "ingest --fps 0": (lambda tmp, ws: _recording(tmp) + ["--fps", "0"], "fps"),
@@ -856,6 +879,15 @@ INPUT_PROBES = {
             "--output", str(tmp / "x.cspk"),
         ],
         "synthetic.grid",
+    ),
+    "train label 7": (lambda tmp, ws: _on_labels(tmp, ws, "train", 7), "labels.cspk: sample 1 has label 7"),
+    "train label -1": (lambda tmp, ws: _on_labels(tmp, ws, "train", -1), "labels.cspk: sample 1 has label -1"),
+    "ablate label 7": (lambda tmp, ws: _on_labels(tmp, ws, "ablate", 7), "labels.cspk: sample 1 has label 7"),
+    "eval label 7": (lambda tmp, ws: _eval_on_labels(tmp, ws, 7), "labels.cspk: sample 1 has label 7"),
+    "eval label -1": (lambda tmp, ws: _eval_on_labels(tmp, ws, -1), "labels.cspk: sample 1 has label -1"),
+    "3-class spec, 2 classes": (
+        lambda tmp, ws: _config_with_spec(tmp, ws, lambda s: None) + ["--set", "topology.n_classes=2"],
+        "synthetic spec: sample 12 has label 2",
     ),
     "config not UTF-8": (
         lambda tmp, ws: ["train", "--config", str(_write(tmp / "cfg.json", b"{\xff}")), "--out", str(tmp / "t")],

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chronospike import build_network, gen_synthetic, run_presentation
 from chronospike.config import LIFParams
-from chronospike.core import DelayBuffer, DelayOutOfRange, SpikeRecord, lif_integrate, lif_step
+from chronospike.core import DelayBuffer, DelayOutOfRange, lif_integrate, lif_step
+from conftest import tiny_cfg
 
 LIF = LIFParams(tau_m=10.0, t_ref=1, v_reset=0.0)
 FAR_PAST = -(1 << 30)
@@ -140,24 +142,23 @@ def test_scheduled_equals_delivered(events, together):
     assert buf.last == max((t + d for t, d, _ in events), default=-1)
 
 
-# -- SpikeRecord -----------------------------------------------------------------
+# -- presentation readout ----------------------------------------------------------
 
 
-def test_decision_counts_and_first_spike():
-    class_of = np.array([0, 0, 1, 1, 2])
-    rec = SpikeRecord(
-        decision_t=np.array([2, 3, 3, 9], np.int64),
-        decision_neuron=np.array([2, 0, 3, 2], np.int64),
-    )
-    counts = rec.decision_counts(class_of, 3)
-    assert counts.tolist() == [1, 3, 0]
-    first = rec.class_first_spike(class_of, 3)
-    assert first[0] == 3
-    assert first[1] == 2
-    assert np.isinf(first[2])
-
-
-def test_empty_record_counts():
-    rec = SpikeRecord()
-    assert rec.decision_counts(np.array([0, 1]), 2).tolist() == [0, 0]
-    assert np.isinf(rec.class_first_spike(np.array([0, 1]), 2)).all()
+def test_run_presentation_counts_and_first_spike():
+    """Each class's count and earliest bin are those of its decision spikes;
+    a presentation without decision spikes counts 0 and has no first bin."""
+    cfg = tiny_cfg()
+    frames = gen_synthetic(cfg.synthetic, 1)[0].frames
+    net = build_network(cfg, frames.shape[1:])
+    fired = run_presentation(net, frames)
+    assert fired.conv_spikes is not None
+    assert run_presentation(net, frames, pooled=(fired.pooled_t, fired.pooled_unit)).conv_spikes is None
+    net.wf[:] = 0.0
+    silent = run_presentation(net, frames)
+    assert fired.decision_t.size and not silent.decision_t.size
+    for pres in (fired, silent):
+        cls = net.class_of[pres.decision_neuron]
+        for c in range(net.n_classes):
+            assert pres.counts[c] == np.count_nonzero(cls == c)
+            assert pres.first_class[c] == min(pres.decision_t[cls == c].tolist(), default=np.inf)

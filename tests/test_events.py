@@ -232,6 +232,28 @@ def test_binning_idempotent_at_integer_and_fractional_fps():
         np.testing.assert_array_equal(seq.frames, frames, err_msg=f"fps={fps}")
 
 
+@given(
+    fps=st.one_of(st.sampled_from([25, 30, 33, 1000, 100_000]), st.integers(1, 100_000)),
+    k=st.integers(0, 1 << 20),
+    as_float=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_bin_frames_matches_integer_floor_division(fps, k, as_float):
+    """At an integer fps, the bin of t microseconds is t * fps // 10**6 in
+    Python ints: checked at the first microsecond of bins k to k + 64 (pixel
+    x = 0) and at the microsecond before each (x = 1)."""
+    times = [(max(-(-b * 10**6 // fps) + d, 0), -d) for b in range(k, k + 65) for d in (-1, 0)]
+    t, x = (np.array(v, np.int64) for v in zip(*sorted(times)))
+    zeros = np.zeros(t.size, np.int64)
+    stream = EventStream(x, zeros, zeros, t, (2, 1))
+    got = bin_frames(stream, fps=float(fps) if as_float else fps, max_frames=k + 64).frames[:, 0, 0, :]
+    want = np.zeros((k + 64, 2), np.uint8)
+    for ti, xi in times:
+        if ti * fps // 10**6 < k + 64:
+            want[ti * fps // 10**6, xi] = 1
+    np.testing.assert_array_equal(got, want)
+
+
 # -- subject split ---------------------------------------------------------
 
 

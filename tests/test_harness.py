@@ -24,7 +24,7 @@ from test_plasticity import (
 
 from chronospike import gen_synthetic, harness, moving_bars_spec
 from chronospike import plasticity as pl
-from chronospike.config import HarnessParams, LIFParams, PlasticityParams
+from chronospike.config import HarnessParams, LIFParams, PlasticityParams, RegulationParams
 from chronospike import core
 from chronospike.core import DelayBuffer, DelayOutOfRange, lif_integrate, lif_step
 from chronospike.harness import (
@@ -530,8 +530,8 @@ def test_pooled_cache_matches_fresh_run():
     for i, s in enumerate(samples[:4]):
         fresh = run_presentation(net, s.frames)
         cached = run_presentation(net, s.frames, pooled=cache[i])
-        np.testing.assert_array_equal(fresh.record.decision_t, cached.record.decision_t)
-        np.testing.assert_array_equal(fresh.record.decision_neuron, cached.record.decision_neuron)
+        np.testing.assert_array_equal(fresh.decision_t, cached.decision_t)
+        np.testing.assert_array_equal(fresh.decision_neuron, cached.decision_neuron)
         np.testing.assert_array_equal(fresh.counts, cached.counts)
 
 
@@ -557,15 +557,19 @@ def test_evaluate_rejects_empty():
 
 
 def test_limit_frames_truncates_input():
+    """``limit_frames=k`` scores, and dumps the spikes of, exactly the
+    samples whose frames are cut to their first k bins."""
     cfg = tiny_cfg()
-    net = build_network(cfg, (2, 6, 6))
-    sample = samples_for(cfg)[0]
-    full = run_presentation(net, sample.frames)
-    cut = run_presentation(net, sample.frames, limit_frames=6)
-    # a 6-bin prefix can only produce a subset of the pooled activity
-    assert cut.record.pooled_t.size <= full.record.pooled_t.size
-    if cut.record.pooled_t.size:
-        assert cut.record.pooled_t.max() <= 6 + int(cfg.plasticity.d_max)
+    samples = samples_for(cfg)
+    net = train(cfg, samples).net
+    for k in (1, 6, 12):
+        cut = [dataclasses.replace(s, frames=s.frames[:k]) for s in samples]
+        rows, want_rows = [], []
+        got = evaluate(net, samples, limit_frames=k, spike_rows=rows)
+        want = evaluate(net, cut, spike_rows=want_rows)
+        assert rows == want_rows
+        for f in dataclasses.fields(want):
+            np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name), err_msg=f.name)
 
 
 # -- training loop invariants ----------------------------------------------------
@@ -675,12 +679,29 @@ def test_abstaining_presentations_leave_decision_layer_unchanged():
     net = build_network(cfg, (2, 6, 6))
     net.wf[:] = 0.0
     net.lat_w[:] = 0.0
-    net.decision_window.extend([0] * 6)
+    net.decision_window.restore([0] * 6)
     before = [a.copy() for a in (net.wf, net.df, net.lat_w, net.lat_d)]
     train_layer2(net, samples, build_pooled_cache(net, samples))
     for name, a, b in zip(("wf", "df", "lat_w", "lat_d"), before, (net.wf, net.df, net.lat_w, net.lat_d)):
         np.testing.assert_array_equal(a, b, err_msg=name)
-    assert list(net.decision_window) == [0] * 6
+    assert list(net.decision_window.buf) == [0] * 6
+
+
+def test_decision_window_counts_match_its_buffer(tmp_path):
+    """The network's window keeps its per-class counts equal to a recount
+    of its buffer across phase-2 calls and a checkpoint round trip."""
+    cfg = tiny_cfg(regulation=RegulationParams(decision_window_per_class=2))
+    samples = samples_for(cfg)
+    net = build_network(cfg, (2, 6, 6))
+    cache = build_pooled_cache(net, samples)
+    train_layer2(net, samples, cache)
+    train_layer2(net, samples, cache)
+    save_checkpoint(tmp_path / "ckpt.json", net)
+    loaded = load_checkpoint(tmp_path / "ckpt.json")
+    assert list(loaded.decision_window.buf) == list(net.decision_window.buf)
+    for window in (net.decision_window, loaded.decision_window):
+        assert len(window) == window.buf.maxlen
+        np.testing.assert_array_equal(window.counts, np.bincount(list(window.buf), minlength=net.n_classes))
 
 
 def test_pair_deltas_empty_without_decision_spikes():
@@ -1004,7 +1025,7 @@ def test_lateral_edges_deliver_below_one_bin_of_d_max():
     strong.lat_w[:] = np.where(strong.is_inh[strong.lat_src], -50.0, 50.0)
 
     def spikes(net):
-        records = [run_presentation(net, s.frames).record for s in samples]
+        records = [run_presentation(net, s.frames) for s in samples]
         return [(r.decision_t.tolist(), r.decision_neuron.tolist()) for r in records]
 
     assert spikes(strong) != spikes(plain)

@@ -117,7 +117,7 @@ def test_decision_window_snapshot_restore():
     for v in (0, 1, 2, 2, 1):
         win.push(v)
     other = DecisionWindow(3, length=9)
-    other.restore(win.snapshot())
+    other.restore(list(win.buf))
     assert other.counts.tolist() == win.counts.tolist()
     assert list(other.buf) == list(win.buf)
 
@@ -203,8 +203,12 @@ def test_gate_never_exceeds_cap_under_fuzz():
 # -- freeze tracker -----------------------------------------------------------
 
 
+def tracker(n: int, threshold: float, window: int) -> FreezeTracker:
+    return FreezeTracker(np.zeros(n), np.zeros(n, np.int64), np.zeros(n, bool), threshold, window)
+
+
 def test_freeze_requires_window_observations():
-    tr = FreezeTracker(2, threshold=0.01, window=3)
+    tr = tracker(2, threshold=0.01, window=3)
     for _ in range(2):
         tr.update(np.zeros(2))
     assert not tr.frozen.any()
@@ -214,14 +218,14 @@ def test_freeze_requires_window_observations():
 
 
 def test_active_units_do_not_freeze():
-    tr = FreezeTracker(2, threshold=0.01, window=3)
+    tr = tracker(2, threshold=0.01, window=3)
     for _ in range(10):
         tr.update(np.array([0.0, 0.5]))
     assert tr.frozen.tolist() == [True, False]
 
 
 def test_freeze_is_sticky():
-    tr = FreezeTracker(1, threshold=0.01, window=2)
+    tr = tracker(1, threshold=0.01, window=2)
     tr.update(np.zeros(1))
     tr.update(np.zeros(1))
     assert tr.frozen[0]
@@ -232,7 +236,7 @@ def test_freeze_is_sticky():
 
 
 def test_freeze_after_settling():
-    tr = FreezeTracker(1, threshold=0.05, window=5)
+    tr = tracker(1, threshold=0.05, window=5)
     for v in (1.0, 0.8, 0.5, 0.2, 0.1, 0.01, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0):
         tr.update(np.array([v]))
     assert tr.frozen[0]
