@@ -145,20 +145,28 @@ def test_scheduled_equals_delivered(events, together):
 # -- presentation readout ----------------------------------------------------------
 
 
-def test_run_presentation_counts_and_first_spike():
-    """Each class's count and earliest bin are those of its decision spikes;
-    a presentation without decision spikes counts 0 and has no first bin."""
+def test_decision_counts_and_first_spike():
+    """Each class's count and earliest bin are those of its decision spikes."""
     cfg = tiny_cfg()
     frames = gen_synthetic(cfg.synthetic, 1)[0].frames
     net = build_network(cfg, frames.shape[1:])
-    fired = run_presentation(net, frames)
-    assert fired.conv_spikes is not None
-    assert run_presentation(net, frames, pooled=(fired.pooled_t, fired.pooled_unit)).conv_spikes is None
+    pres = run_presentation(net, frames)
+    assert pres.conv_spikes is not None
+    assert run_presentation(net, frames, pooled=(pres.pooled_t, pres.pooled_unit)).conv_spikes is None
+    assert pres.decision_t.size
+    cls = net.class_of[pres.decision_neuron]
+    for c in range(net.n_classes):
+        assert pres.counts[c] == np.count_nonzero(cls == c)
+        assert pres.first_class[c] == min(pres.decision_t[cls == c].tolist(), default=np.inf)
+
+
+def test_empty_record_counts():
+    """A presentation without decision spikes counts 0 and has no first bin."""
+    cfg = tiny_cfg()
+    frames = gen_synthetic(cfg.synthetic, 1)[0].frames
+    net = build_network(cfg, frames.shape[1:])
     net.wf[:] = 0.0
-    silent = run_presentation(net, frames)
-    assert fired.decision_t.size and not silent.decision_t.size
-    for pres in (fired, silent):
-        cls = net.class_of[pres.decision_neuron]
-        for c in range(net.n_classes):
-            assert pres.counts[c] == np.count_nonzero(cls == c)
-            assert pres.first_class[c] == min(pres.decision_t[cls == c].tolist(), default=np.inf)
+    pres = run_presentation(net, frames)
+    assert not pres.decision_t.size
+    assert pres.counts.tolist() == [0] * net.n_classes
+    assert np.isinf(pres.first_class).all()
