@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
-"""Full synthetic pipeline: generate, train, evaluate, ablate.
+"""Full synthetic pipeline: generate, train, evaluate, ablate, sweep frames.
 
 Writes everything under --out (default runs/synthetic): dataset files, the
-trained checkpoint with metrics, an evaluation report, and the ablation
-table. Pass --quick for a small-epoch smoke version of the same flow.
+trained checkpoint with metrics, an evaluation report, the ablation table,
+and the accuracy-versus-frames curves of the ablation's full and
+no-lateral checkpoints side by side in <out>/sweep.csv (the eval reports
+behind them go to <out>/sweep/). Pass --quick for a small-epoch smoke
+version of the same flow, which ablates only those two variants;
+--skip-ablate skips the ablation and the sweep.
 """
 
 import argparse
@@ -15,6 +19,39 @@ from pathlib import Path
 from chronospike.cli import main as cli
 from chronospike.config import save_config
 from chronospike.presets import moving_bars_acceptance_config
+
+# frame limits of the accuracy-versus-frames sweep
+SWEEP_LIMITS = (5, 10, 15, 20, 25, 30, 40, 50)
+
+
+def sweep(out: Path, test_ds: Path) -> int:
+    """Evaluate the ablation's full and no-lateral checkpoints at every frame
+    limit and write the two curves side by side to <out>/sweep.csv."""
+    curves = {}
+    for name, variant in (("full", "full"), ("no_lateral", "no-lateral")):
+        eval_dir = out / "sweep" / name
+        rc = cli(
+            [
+                "eval",
+                "--checkpoint", str(out / "ablate" / variant / "checkpoint_final.json"),
+                "--data", str(test_ds),
+                "--limit-frames", ",".join(map(str, SWEEP_LIMITS)),
+                "--out", str(eval_dir),
+            ]
+        )
+        if rc != 0:
+            return rc
+        report = json.loads((eval_dir / "eval.json").read_text())
+        curves[name] = dict(report["curve"])
+
+    with open(out / "sweep.csv", "w") as f:
+        f.write("limit_frames,full,no_lateral\n")
+        for x in SWEEP_LIMITS:
+            f.write(f"{x},{curves['full'][x]!r},{curves['no_lateral'][x]!r}\n")
+    print(f"wrote {out / 'sweep.csv'}")
+    for x in SWEEP_LIMITS:
+        print(f"{x:4d}  full={curves['full'][x]:.3f}  no_lateral={curves['no_lateral'][x]:.3f}")
+    return 0
 
 
 def run(argv) -> int:
@@ -79,6 +116,9 @@ def run(argv) -> int:
         rc_abl = cli(ablate_args)
         if rc_abl != 0:
             return rc_abl
+        rc_sweep = sweep(out, test_ds)
+        if rc_sweep != 0:
+            return rc_sweep
     return rc
 
 

@@ -1,12 +1,17 @@
-"""Command line entry points.
+"""Command line entry points and the report files they write.
 
 Four subcommands: ``ingest`` turns raw recordings or a synthetic generator
-spec into dataset files, ``train`` runs the two training phases and writes
-checkpoints plus metrics, ``eval`` scores a checkpoint on a dataset, and
-``ablate`` trains a grid of mechanism-removal variants and tabulates the
-accuracy drops. Each variant is trained like ``train`` into its own
-directory ``<out>/<variant>``, which holds the same files as a ``train``
-run.
+spec into the dataset files ``--output`` and ``--output-test``; ``train``
+runs the two training phases and writes ``effective_config.json``,
+``metrics.jsonl``, ``checkpoint_layer1.json``, ``checkpoint_final.json``,
+``conv_weights.csv``, ``conv_delays.csv`` and ``summary.json``; ``eval``
+scores a checkpoint on a dataset and writes ``eval.json`` and, for several
+``--limit-frames``, ``curve.csv`` to ``--out``, and the ``--dump-spikes``
+CSV; ``ablate`` trains a grid of mechanism-removal variants, each like
+``train`` into ``<out>/<variant>``, and tabulates the accuracy drops in
+``ablation_summary.json`` and ``ablation_summary.csv``. One writer,
+:func:`_write_csv`, writes every CSV file; it quotes a field only where the
+field holds a separator or a quote.
 
 Exit codes: 0 success, 1 an internal fault (a traceback) or an ``ablate``
 variant raised (the other variants and the table are still written), 2
@@ -19,17 +24,21 @@ still written). Input faults are the named errors of ``_INPUT_ERRORS``:
 ``ConfigError`` (a config, override or spec field), ``InvalidSpec`` (a
 synthetic spec's edges), ``DatasetFormatError``, ``DecodeError``,
 ``IngestError`` and ``UnknownSubject`` (datasets and recordings), and the
-file-system errors of a missing or misplaced path. Any other exception, a
-bare ``ValueError`` included, is a fault of the program and propagates.
+file-system errors of a missing or misplaced path, ``FileExistsError`` (an
+``--out`` that names a file) among them. Any other exception, a bare
+``ValueError`` included, is a fault of the program and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .config import (
     DISABLE_CHOICES,
@@ -54,15 +63,9 @@ from .events import (
     save_dataset,
     split_dataset,
 )
-from .harness import TrainResult, evaluate, frames_sweep, train, write_spikes_csv
+from .harness import TrainResult, evaluate, frames_sweep, train
 from .synthetic import InvalidSpec, gen_synthetic, oracle_accuracy
-from .topology import (
-    StateError,
-    export_kernels,
-    load_checkpoint,
-    save_checkpoint,
-    state_hash,
-)
+from .topology import StateError, load_checkpoint, save_checkpoint, state_hash
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -79,6 +82,7 @@ _INPUT_ERRORS = (
     FileNotFoundError,
     NotADirectoryError,
     IsADirectoryError,
+    FileExistsError,
 )
 
 # Accuracy drops (train pp, test pp) reported by the reference experiments on
@@ -95,10 +99,27 @@ REFERENCE_DELTAS_PP: dict[str, tuple[float, float]] = {
     "no-decentralization": (4.88, 7.39),
 }
 
+# The summary.json fields an ablation row copies, and the ablation CSV's columns.
+ABLATION_FIELDS = ("train_accuracy", "test_accuracy", "gate_violations", "epochs_layer1", "epochs_layer2")
+ABLATION_CSV_COLUMNS = (
+    "variant", "train_accuracy", "test_accuracy", "delta_train_pp", "delta_test_pp",
+    "reference_delta_train_pp", "reference_delta_test_pp", "converged", "gate_violations", "error",
+)
+
 
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` to ``path`` as CSV: ``str`` of each
+    field (``repr`` for a float), ``None`` as an empty field, and quotes only
+    around a field that holds a separator or a quote."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _labelled(samples, n_classes: int, source):
@@ -240,7 +261,9 @@ def _train_run(cfg: RunConfig, train_samples, test_samples, out: Path) -> tuple[
         )
     net = res.net
     save_checkpoint(out / "checkpoint_final.json", net)
-    export_kernels(net, out)
+    for name, arr in (("weights", net.conv_w), ("delays", net.conv_d)):
+        cells = zip(np.ndindex(arr.shape), arr.ravel().tolist())  # one row per kernel cell
+        _write_csv(out / f"conv_{name}.csv", ("map", "polarity", "ky", "kx", "value"), ((*i, v) for i, v in cells))
 
     train_eval = evaluate(net, train_samples)
     summary = {
@@ -330,27 +353,19 @@ def cmd_eval(args) -> int:
         "n": len(samples),
         "state_hash": hash_before,
     }
+    rows = [] if args.dump_spikes else None
     if limits is not None and len(limits) > 1:
         curve = frames_sweep(net, samples, limits)
         report["curve"] = [[x, acc] for x, acc in curve]
         if out_dir:
-            with open(out_dir / "curve.csv", "w") as f:
-                f.write("limit_frames,accuracy\n")
-                for x, acc in curve:
-                    f.write(f"{x},{acc!r}\n")
+            _write_csv(out_dir / "curve.csv", ("limit_frames", "accuracy"), curve)
             report["curve_csv"] = str(out_dir / "curve.csv")
-        if args.dump_spikes:
-            rows: list = []
+        if rows is not None:
+            # a curve's spikes are those of the whole stimulus
             evaluate(net, samples, spike_rows=rows)
-            write_spikes_csv(args.dump_spikes, rows)
-            report["spikes_csv"] = str(args.dump_spikes)
     else:
         limit = limits[0] if limits else None
-        rows = [] if args.dump_spikes else None
         res = evaluate(net, samples, limit_frames=limit, spike_rows=rows)
-        if args.dump_spikes:
-            write_spikes_csv(args.dump_spikes, rows)
-            report["spikes_csv"] = str(args.dump_spikes)
         report.update(
             {
                 "accuracy": res.accuracy,
@@ -362,6 +377,9 @@ def cmd_eval(args) -> int:
         )
         if limit is not None:
             report["limit_frames"] = limit
+    if rows is not None:
+        _write_csv(args.dump_spikes, ("sample", "layer", "neuron", "t_bin"), rows)
+        report["spikes_csv"] = str(args.dump_spikes)
     report["state_hash_after"] = state_hash(net)
     if out_dir:
         (out_dir / "eval.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -390,74 +408,39 @@ def cmd_ablate(args) -> int:
     if not test_samples:
         return _fail("ablation needs a test set (synthetic config or test_data)", EXIT_INPUT)
 
-    rows: dict[str, dict] = {}
+    rows = []
     for name in names:
+        row = {"variant": name}
         try:
-            cfg = apply_variant(base, name)
-            summary, converged = _train_run(cfg, train_samples, test_samples, out / name)
-            rows[name] = {
-                "train_accuracy": summary["train_accuracy"],
-                "test_accuracy": summary["test_accuracy"],
-                "converged": converged,
-                "gate_violations": summary["gate_violations"],
-                "epochs_layer1": summary["epochs_layer1"],
-                "epochs_layer2": summary["epochs_layer2"],
-            }
+            summary, row["converged"] = _train_run(apply_variant(base, name), train_samples, test_samples, out / name)
+            row.update((k, summary[k]) for k in ABLATION_FIELDS)
         except Exception as exc:  # keep the grid going; report the failure
-            rows[name] = {"error": f"{type(exc).__name__}: {exc}"}
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
 
-    full = rows.get("full") if "error" not in rows.get("full", {"error": 1}) else None
-    table_rows = []
-    for name in names:
-        row = dict(rows[name])
-        row["variant"] = name
+    full = next((r for r in rows if r["variant"] == "full" and "error" not in r), None)
+    for row in rows:
         if "error" not in row and full is not None:
             row["delta_train_pp"] = 100.0 * (full["train_accuracy"] - row["train_accuracy"])
             row["delta_test_pp"] = 100.0 * (full["test_accuracy"] - row["test_accuracy"])
-        ref = REFERENCE_DELTAS_PP.get(name)
+        ref = REFERENCE_DELTAS_PP.get(row["variant"])
         if ref is not None:
-            row["reference_delta_train_pp"] = ref[0]
-            row["reference_delta_test_pp"] = ref[1]
-        table_rows.append(row)
+            row["reference_delta_train_pp"], row["reference_delta_test_pp"] = ref
 
-    csv_cols = (
-        "variant",
-        "train_accuracy",
-        "test_accuracy",
-        "delta_train_pp",
-        "delta_test_pp",
-        "reference_delta_train_pp",
-        "reference_delta_test_pp",
-        "converged",
-        "gate_violations",
-        "error",
-    )
-    with open(out / "ablation_summary.csv", "w") as f:
-        f.write(",".join(csv_cols) + "\n")
-        for row in table_rows:
-            f.write(",".join(str(row.get(c, "")) for c in csv_cols) + "\n")
-    (out / "ablation_summary.json").write_text(
-        json.dumps(table_rows, indent=2, sort_keys=True) + "\n"
-    )
+    table = ([row.get(c) for c in ABLATION_CSV_COLUMNS] for row in rows)
+    _write_csv(out / "ablation_summary.csv", ABLATION_CSV_COLUMNS, table)
+    (out / "ablation_summary.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
 
     width = max(len(n) for n in names)
     print(f"{'variant':<{width}}  {'train':>7}  {'test':>7}  {'d_test':>7}  {'ref':>6}")
-    failed = False
-    for row in table_rows:
+    for row in rows:
         name = row["variant"]
         if "error" in row:
-            failed = True
             print(f"{name:<{width}}  failed: {row['error']}")
             continue
-        d = row.get("delta_test_pp")
-        ref = row.get("reference_delta_test_pp")
-        d_txt = f"{d:>7.2f}" if d is not None else f"{'':>7}"
-        ref_txt = f"{ref:>6.2f}" if ref is not None else f"{'':>6}"
-        print(
-            f"{name:<{width}}  {row['train_accuracy']:>7.3f}  "
-            f"{row['test_accuracy']:>7.3f}  {d_txt}  {ref_txt}"
-        )
-    return 1 if failed else EXIT_OK
+        d, ref = (f"{row[k]:.2f}" if k in row else "" for k in ("delta_test_pp", "reference_delta_test_pp"))
+        print(f"{name:<{width}}  {row['train_accuracy']:>7.3f}  {row['test_accuracy']:>7.3f}  {d:>7}  {ref:>6}")
+    return 1 if any("error" in row for row in rows) else EXIT_OK
 
 
 # -- entry point ----------------------------------------------------------

@@ -20,7 +20,6 @@ since it shapes the vote rather than the parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -640,10 +639,3 @@ def evaluate(
 def frames_sweep(net: Network, samples: list[FrameSequence], limits) -> list[tuple[int, float]]:
     """Accuracy when only the first x frames of each sample are shown."""
     return [(int(x), evaluate(net, samples, limit_frames=int(x)).accuracy) for x in limits]
-
-
-def write_spikes_csv(path: str | Path, rows) -> None:
-    with open(path, "w") as f:
-        f.write("sample,layer,neuron,t_bin\n")
-        for sample, layer, neuron, t in rows:
-            f.write(f"{sample},{layer},{neuron},{t}\n")

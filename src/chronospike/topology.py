@@ -235,24 +235,19 @@ def network_payload(net: Network) -> dict:
         "phase": net.phase,
         "decision_window": list(net.decision_window.buf),
         "arrays": arrays,
-        "rng": _jsonable(net.rng.bit_generator.state),
+        "rng": net.rng.bit_generator.state,
     }
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
+def _payload_text(net: Network) -> str:
+    """The checkpoint text: :func:`network_payload` as compact JSON with
+    sorted keys. :func:`save_checkpoint` writes it and :func:`state_hash`
+    digests it."""
+    return json.dumps(network_payload(net), sort_keys=True, separators=(",", ":"))
 
 
 def save_checkpoint(path: str | Path, net: Network) -> None:
-    payload = network_payload(net)
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(text)
+    Path(path).write_text(_payload_text(net))
 
 
 def load_checkpoint(path: str | Path) -> Network:
@@ -329,9 +324,7 @@ def load_checkpoint(path: str | Path) -> Network:
 
 def state_hash(net: Network) -> str:
     """Digest of all persistent network state (parameters and traces)."""
-    payload = network_payload(net)
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(_payload_text(net).encode()).hexdigest()
 
 
 def layer1_hash(net: Network) -> str:
@@ -340,18 +333,3 @@ def layer1_hash(net: Network) -> str:
     for name in ("conv_w", "conv_d", "conv_theta"):
         h.update(getattr(net, name).astype("<f8").tobytes())
     return h.hexdigest()
-
-
-def export_kernels(net: Network, out_dir: str | Path) -> list[Path]:
-    """Write the shared conv kernels as CSV grids (one row per kernel cell)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, arr in (("weights", net.conv_w), ("delays", net.conv_d)):
-        path = out_dir / f"conv_{name}.csv"
-        with open(path, "w") as f:
-            f.write("map,polarity,ky,kx,value\n")
-            for idx in np.ndindex(arr.shape):
-                f.write(f"{','.join(map(str, idx))},{float(arr[idx])!r}\n")
-        paths.append(path)
-    return paths

@@ -2,6 +2,7 @@
 
 import base64
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -17,6 +18,7 @@ from hypothesis import strategies as hst
 from conftest import tiny_cfg
 from test_events import _write_recording
 
+from chronospike import cli
 from chronospike.cli import REFERENCE_DELTAS_PP, main
 from chronospike.config import VARIANTS, canonical_json, config_hash, load_config, save_config, to_dict
 from chronospike.core import DelayBuffer, DelayOutOfRange
@@ -145,6 +147,17 @@ def test_train_artifacts_exist(ws):
         "summary.json",
     ):
         assert (out / name).exists(), name
+
+
+def test_export_kernels_csv(ws):
+    net = load_checkpoint(ws["out1"] / "checkpoint_final.json")
+    for name, arr in (("conv_weights.csv", net.conv_w), ("conv_delays.csv", net.conv_d)):
+        lines = (ws["out1"] / name).read_text().strip().split("\n")
+        assert lines[0] == "map,polarity,ky,kx,value"
+        assert len(lines) == 1 + arr.size
+        # values survive a text round trip exactly
+        row = lines[1].split(",")
+        assert float(row[4]) == arr[0, 0, 0, 0]
 
 
 def test_train_summary_fields(ws):
@@ -705,6 +718,33 @@ def test_ablate_small_grid(ws, tmp_path, capsys):
             assert (tmp_path / name / file).exists(), (name, file)
 
 
+def test_ablate_csv_keeps_a_failed_variants_message_in_one_field(ws, tmp_path, monkeypatch):
+    real = cli._train_run
+
+    def failing(cfg, train_samples, test_samples, out):
+        if out.name == "no-lateral":
+            raise ValueError("delay 5 outside [0, 3]")
+        return real(cfg, train_samples, test_samples, out)
+
+    monkeypatch.setattr(cli, "_train_run", failing)
+    rc = main(
+        [
+            "ablate",
+            "--config", str(ws["cfg_path"]),
+            "--out", str(tmp_path),
+            "--max-epochs", "1",
+            "--variants", "full,no-lateral",
+        ]
+    )
+    assert rc == 1
+    with open(tmp_path / "ablation_summary.csv", newline="") as f:
+        header, *rows = csv.reader(f)
+    assert [len(r) for r in rows] == [len(header)] * 2
+    by_name = {r[0]: dict(zip(header, r)) for r in rows}
+    assert by_name["no-lateral"]["error"] == "ValueError: delay 5 outside [0, 3]"
+    assert by_name["full"]["error"] == ""
+
+
 def test_ablate_unknown_variant(ws, tmp_path):
     rc = main(
         [
@@ -888,6 +928,24 @@ INPUT_PROBES = {
     "3-class spec, 2 classes": (
         lambda tmp, ws: _config_with_spec(tmp, ws, lambda s: None) + ["--set", "topology.n_classes=2"],
         "synthetic spec: sample 12 has label 2",
+    ),
+    "train --out names a file": (
+        lambda tmp, ws: ["train", "--config", str(ws["cfg_path"]), "--out", str(_write(tmp / "taken", b""))],
+        "taken",
+    ),
+    "eval --out names a file": (
+        lambda tmp, ws: [
+            "eval", "--checkpoint", str(ws["out1"] / "checkpoint_final.json"),
+            "--data", str(ws["test_ds"]), "--out", str(_write(tmp / "taken", b"")),
+        ],
+        "taken",
+    ),
+    "ablate --out names a file": (
+        lambda tmp, ws: [
+            "ablate", "--config", str(ws["cfg_path"]), "--out", str(_write(tmp / "taken", b"")),
+            "--variants", "full",
+        ],
+        "taken",
     ),
     "config not UTF-8": (
         lambda tmp, ws: ["train", "--config", str(_write(tmp / "cfg.json", b"{\xff}")), "--out", str(tmp / "t")],

@@ -25,7 +25,6 @@ from chronospike.topology import (
     build_network,
     conv_forward_currents,
     conv_output_shape,
-    export_kernels,
     inhibitory_flags,
     layer1_hash,
     load_checkpoint,
@@ -444,19 +443,6 @@ def test_layer1_hash_ignores_decision_layer():
     assert layer1_hash(net) == h0
     net.conv_w[0, 0, 0, 0] += 0.5
     assert layer1_hash(net) != h0
-
-
-def test_export_kernels_csv(tmp_path):
-    net = build_network(small_cfg(), (2, 10, 10))
-    paths = export_kernels(net, tmp_path)
-    names = {p.name for p in paths}
-    assert names == {"conv_weights.csv", "conv_delays.csv"}
-    lines = (tmp_path / "conv_weights.csv").read_text().strip().split("\n")
-    assert lines[0] == "map,polarity,ky,kx,value"
-    assert len(lines) == 1 + net.conv_w.size
-    # values survive a text round trip exactly
-    row = lines[1].split(",")
-    assert float(row[4]) == net.conv_w[0, 0, 0, 0]
 
 
 # -- spiking sanity through the stack -------------------------------------------
