@@ -6,7 +6,8 @@ trained checkpoint with metrics, an evaluation report, the ablation table,
 and the accuracy-versus-frames curves of the ablation's full and
 no-lateral checkpoints side by side in <out>/sweep.csv (the eval reports
 behind them go to <out>/sweep/). Pass --quick for a small-epoch smoke
-version of the same flow, which ablates only those two variants;
+version of the same flow, which ablates only those two variants and
+no-decentralization, whose activity gate is capped at the layer size;
 --skip-ablate skips the ablation and the sweep.
 """
 
@@ -112,7 +113,7 @@ def run(argv) -> int:
     if not args.skip_ablate:
         ablate_args = ["ablate", "--config", str(cfg_path), "--out", str(out / "ablate")]
         if args.quick:
-            ablate_args += ["--max-epochs", "2", "--variants", "full,no-lateral"]
+            ablate_args += ["--max-epochs", "2", "--variants", "full,no-lateral,no-decentralization"]
         rc_abl = cli(ablate_args)
         if rc_abl != 0:
             return rc_abl

@@ -9,7 +9,10 @@ scores a checkpoint on a dataset and writes ``eval.json`` and, for several
 ``--limit-frames``, ``curve.csv`` to ``--out``, and the ``--dump-spikes``
 CSV; ``ablate`` trains a grid of mechanism-removal variants, each like
 ``train`` into ``<out>/<variant>``, and tabulates the accuracy drops in
-``ablation_summary.json`` and ``ablation_summary.csv``. One writer,
+``ablation_summary.json`` and ``ablation_summary.csv``. A run's
+``gate_violations`` counts the phase-2 presentations in which some class
+group had more than ``dc_upper`` distinct neurons fire, counted from the
+spikes. One writer,
 :func:`_write_csv`, writes every CSV file; it quotes a field only where the
 field holds a separator or a quote.
 
@@ -432,14 +435,15 @@ def cmd_ablate(args) -> int:
     (out / "ablation_summary.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
 
     width = max(len(n) for n in names)
-    print(f"{'variant':<{width}}  {'train':>7}  {'test':>7}  {'d_test':>7}  {'ref':>6}")
+    print(f"{'variant':<{width}}  {'train':>7}  {'test':>7}  {'d_test':>7}  {'ref':>6}  {'viol':>6}")
     for row in rows:
         name = row["variant"]
         if "error" in row:
             print(f"{name:<{width}}  failed: {row['error']}")
             continue
         d, ref = (f"{row[k]:.2f}" if k in row else "" for k in ("delta_test_pp", "reference_delta_test_pp"))
-        print(f"{name:<{width}}  {row['train_accuracy']:>7.3f}  {row['test_accuracy']:>7.3f}  {d:>7}  {ref:>6}")
+        acc = f"{row['train_accuracy']:>7.3f}  {row['test_accuracy']:>7.3f}"
+        print(f"{name:<{width}}  {acc}  {d:>7}  {ref:>6}  {row['gate_violations']:>6}")
     return 1 if any("error" in row for row in rows) else EXIT_OK
 
 

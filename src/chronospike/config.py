@@ -37,6 +37,8 @@ class ConfigError(ValueError):
 #: learning off. ``homeo`` (no-interval-homeostasis) stops interval
 #: homeostasis of the decision layer only: layer-1 training applies
 #: ``interval_gain`` to the conv kernels whatever ``disabled`` holds.
+#: ``decentralize`` (no-decentralization) raises the activity gate's cap
+#: from ``dc_upper`` to the decision layer's size, which no group can reach.
 VARIANTS: dict[str, dict[str, Any]] = {
     "full": {},
     "no-interval-homeostasis": {"disable": "homeo"},

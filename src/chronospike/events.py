@@ -173,16 +173,16 @@ def bin_frames(
     origin; a cell is 1 if at least one event of that polarity landed in the
     bin (presence, not count). Events past ``max_frames`` bins are dropped.
     """
-    if not fps > 0:
-        raise IngestError(f"fps must be positive, got {fps!r}")
+    if not (math.isfinite(fps) and fps > 0):
+        raise IngestError(f"fps must be finite and positive, got {fps!r}")
     if max_frames <= 0:
         raise IngestError(f"max_frames must be positive, got {max_frames!r}")
     width, height = stream.sensor_size
     frames = np.zeros((max_frames, 2, height, width), dtype=np.uint8)
     if len(stream):
-        # at an integer fps this is t * fps // 10**6 exactly while t * fps < 2**53
-        # and the bin is below 2**33, which covers every bin a frames array can hold
-        bins = np.floor(stream.t * fps / 1e6).astype(np.int64)
+        # exactly t * fps // 10**6 at an integer fps while t * fps < 2**53 and the bin is below
+        # 2**33, as a kept bin is; later ones are clipped to max_frames (so dropped) before the cast
+        bins = np.minimum(np.floor(stream.t * fps / 1e6), max_frames).astype(np.int64)
         keep = bins < max_frames
         frames[bins[keep], stream.polarity[keep], stream.y[keep], stream.x[keep]] = 1
     return FrameSequence(frames, bin_width_ms=1000.0 / fps, label=label, subject_id=subject_id)

@@ -13,8 +13,9 @@ mechanisms. All parameter changes are accumulated over one presentation and
 applied at its end.
 
 Evaluation runs presentations with plasticity and regulation off; only the
-per-class activity gate stays active unless decentralization is disabled,
-since it shapes the vote rather than the parameters.
+per-class activity gate stays, since it shapes the vote rather than the
+parameters. Disabling decentralization raises the gate's cap to the layer
+size, which no class group can reach.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import plasticity as pl
 from .config import RunConfig
 from .core import DelayBuffer, lif_integrate, lif_step
 from .events import FrameSequence
-from .regulation import DecentralizeGate, FreezeTracker, ema_update, interval_gain, threshold_step
+from .regulation import DecentralizeGate, FreezeTracker, decision_gains, ema_update, interval_gain, threshold_step
 from .topology import Network, build_network, conv_forward_currents, layer1_hash, pool_earliest
 
 #: A presentation runs at most this many spans of d_max + 1 bins past its
@@ -41,8 +42,7 @@ class PresentationResult:
     [bins, n_maps, Hc, Wc] spike tensor, None when the pooled spikes came
     from a cache; pooled and decision spikes are (bin, unit) arrays in
     emission order. ``counts`` and ``first_class`` hold each class's decision
-    spikes and earliest decision bin (inf if none), and ``group_active``
-    each class group's committed neurons."""
+    spikes and earliest decision bin (inf if none)."""
 
     conv_spikes: np.ndarray | None
     pooled_t: np.ndarray
@@ -51,7 +51,6 @@ class PresentationResult:
     decision_neuron: np.ndarray
     counts: np.ndarray
     first_class: np.ndarray
-    group_active: np.ndarray
 
 
 @dataclass
@@ -166,7 +165,6 @@ def _decision_sim(net: Network, pooled_t, pooled_unit, t_input: int, gate: Decen
     lat_dint = pl.delay_bins(net.lat_d, par, pl.LATERAL_DELAY_FLOOR)
     v = np.zeros(n)
     refr = np.full(n, -(1 << 30), dtype=np.int64)
-    gate.begin()
     ts: list[int] = []
     js: list[int] = []
     hard_cap = max(t_input, fwd.last + 1) + FLUSH_FACTOR * span
@@ -190,7 +188,7 @@ def _decision_sim(net: Network, pooled_t, pooled_unit, t_input: int, gate: Decen
                 if not (gate.may_fire() & (refr < _window_last(t_input, fwd, lat, hard_cap))).any():
                     break
         t += 1
-    return np.asarray(ts, np.int64), np.asarray(js, np.int64), gate.active_per_group()
+    return np.asarray(ts, np.int64), np.asarray(js, np.int64)
 
 
 def run_presentation(net: Network, frames: np.ndarray, pooled=None) -> PresentationResult:
@@ -200,8 +198,9 @@ def run_presentation(net: Network, frames: np.ndarray, pooled=None) -> Presentat
     object is untouched. The stimulus lasts all of ``frames``; a caller that
     shows fewer bins cuts them. ``pooled`` short-circuits the convolutional
     stage with cached pooled spikes (valid whenever layer 1 is not
-    changing), and the result then holds no conv spikes. The per-class
-    activity gate is on unless decentralization is disabled.
+    changing), and the result then holds no conv spikes. Each call builds
+    its own per-class activity gate; disabling decentralization raises its
+    cap from ``dc_upper`` to the layer size, which no group can reach.
     """
     cfg = net.cfg
     if pooled is None:
@@ -210,12 +209,12 @@ def run_presentation(net: Network, frames: np.ndarray, pooled=None) -> Presentat
     else:
         spikes = None
         pooled_t, pooled_unit = pooled
-    gate = DecentralizeGate(net.class_of, cfg.regulation.dc_upper, not cfg.is_disabled("decentralize"))
-    dec_t, dec_j, group_active = _decision_sim(net, pooled_t, pooled_unit, frames.shape[0], gate)
+    cap = net.n_dec if cfg.is_disabled("decentralize") else cfg.regulation.dc_upper
+    dec_t, dec_j = _decision_sim(net, pooled_t, pooled_unit, frames.shape[0], DecentralizeGate(net.class_of, cap))
     counts = np.bincount(net.class_of[dec_j], minlength=net.n_classes)
     first_class = np.full(net.n_classes, np.inf)
     np.minimum.at(first_class, net.class_of[dec_j], dec_t)
-    return PresentationResult(spikes, pooled_t, pooled_unit, dec_t, dec_j, counts, first_class, group_active)
+    return PresentationResult(spikes, pooled_t, pooled_unit, dec_t, dec_j, counts, first_class)
 
 
 # -- readout and reward ------------------------------------------------------
@@ -502,7 +501,9 @@ def train_layer2(net: Network, samples: list[FrameSequence], pooled_cache, metri
     presentations that produced a verdict: an abstention leaves its window
     unchanged, and re-applying the gains of an unchanged window would charge
     one stale surplus again and again. A neuron's delay movement is averaged
-    over its forward and lateral afferents.
+    over its forward and lateral afferents. A presentation is a gate
+    violation when some class group had more than ``dc_upper`` distinct
+    neurons fire, counted from its decision spikes.
     """
     cfg = net.cfg
     reg = cfg.regulation
@@ -517,8 +518,6 @@ def train_layer2(net: Network, samples: list[FrameSequence], pooled_cache, metri
         pres = run_presentation(net, s.frames, pooled=pooled_cache[i])
         verdict = majority_vote(pres.counts, pres.first_class)
         r = compute_reward(pres.counts, s.label, hp.kappa, hp.reward_clip)
-        if (pres.group_active > reg.dc_upper).any():
-            violations += 1
         d_before_f = net.df.copy()
         d_before_l = net.lat_d.copy()
 
@@ -527,11 +526,13 @@ def train_layer2(net: Network, samples: list[FrameSequence], pooled_cache, metri
             _apply_decision_plasticity(net, r, deltas, delay_on)
 
         counts_per_neuron = np.bincount(pres.decision_neuron, minlength=net.n_dec)
+        if (np.bincount(net.class_of[counts_per_neuron > 0], minlength=net.n_classes) > reg.dc_upper).any():
+            violations += 1
         ema_update(net.act_short, counts_per_neuron, reg.activity_window)
         ema_update(net.act_long, counts_per_neuron, reg.long_window)
         if verdict is not None and not cfg.is_disabled("decision-homeo"):
-            net.decision_window.push(verdict)
-            k_class = net.decision_window.gains()
+            net.decision_window.append(verdict)
+            k_class = decision_gains(net.decision_window, net.n_classes)
             if np.any(k_class != 0.0):
                 _apply_neuron_gain(net, k_class[net.class_of], delay_on)
         if not cfg.is_disabled("homeo"):
@@ -596,9 +597,10 @@ def evaluate(
 ) -> EvalResult:
     """Score samples without touching any network state.
 
-    The per-class activity gate stays on unless decentralization is disabled
-    (it is part of inference); plasticity, regulation, traces, and the RNG
-    are all left alone, so the state hash before and after is identical.
+    The per-class activity gate stays on (it is part of inference; disabling
+    decentralization raises its cap to the layer size); plasticity,
+    regulation, traces, and the RNG are all left alone, so the state hash
+    before and after is identical.
     """
     if not samples:
         raise ValueError("empty evaluation set")

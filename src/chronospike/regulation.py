@@ -10,8 +10,6 @@ written, so regulated and unregulated parameters are bit-identical there.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .config import RegulationParams
@@ -61,82 +59,43 @@ def threshold_step(r_obs_long, params: RegulationParams):
     return d_theta
 
 
-class DecisionWindow:
-    """Sliding window of recent non-abstaining verdicts, with per-class gains.
+def decision_gains(window, n_classes: int) -> np.ndarray:
+    """Per-class gain (P_target - P_observed) / P_target over ``window``, the
+    network's deque of recent verdicts (never an abstention); zeros if empty.
 
-    The per-class target is an equal share of the windowed decisions, so a
-    class chosen more often than its share gets a negative gain (its
-    afferent weights step down, delays step up) and a starved class gets a
-    positive one. While the window is still filling, the target scales with
-    its current population rather than its capacity.
-
-    Decision homeostasis acts only on presentations that produced a verdict:
-    an abstention is not pushed, and the caller applies no gains for it, so
-    one surplus is charged once per decision rather than once per
-    presentation.
-
-    The network owns its window (``Network.decision_window``), which phase 2
-    pushes to in place; checkpoints store ``buf`` as a list, and
-    :meth:`restore` rebuilds the window and its counts from one.
+    The target is an equal share of the windowed decisions, so a class
+    chosen more often than its share gets a negative gain (its afferent
+    weights step down, delays step up) and a starved class a positive one.
+    While the window fills, the target scales with its population rather
+    than its capacity. The counts are recounted from the window each call.
     """
-
-    def __init__(self, n_classes: int, length: int):
-        self.n_classes = n_classes
-        self.buf: deque[int] = deque(maxlen=max(length, 1))
-        self.counts = np.zeros(n_classes, dtype=np.int64)
-
-    def push(self, verdict: int | None) -> None:
-        if verdict is None:
-            return
-        if len(self.buf) == self.buf.maxlen:
-            self.counts[self.buf[0]] -= 1
-        self.buf.append(int(verdict))
-        self.counts[int(verdict)] += 1
-
-    def __len__(self) -> int:
-        return len(self.buf)
-
-    def gains(self) -> np.ndarray:
-        """Per-class gain (P_target - P_observed) / P_target; zeros if empty."""
-        if not self.buf:
-            return np.zeros(self.n_classes)
-        p_target = len(self.buf) / self.n_classes
-        return (p_target - self.counts.astype(float)) / p_target
-
-    def restore(self, values) -> None:
-        self.buf.clear()
-        self.counts[:] = 0
-        for v in values:
-            self.push(int(v))
+    if not window:
+        return np.zeros(n_classes)
+    p_target = len(window) / n_classes
+    return (p_target - np.bincount(window, minlength=n_classes)) / p_target
 
 
 class DecentralizeGate:
-    """Per-class cap on how many decision neurons may emit per presentation.
+    """Per-class cap on how many decision neurons may emit in the one
+    presentation a gate serves.
 
     The first ``dc_upper`` neurons of a class group to reach threshold are
     committed for the presentation (ties within a bin resolve to the lowest
     neuron index, because candidates arrive in index order). All later
     would-be spikes from other group members are suppressed: no spike is
     recorded, no reset and no refractory period happens, and the membrane
-    keeps integrating.
+    keeps integrating. With decentralization disabled the cap is the layer
+    size, which no group can reach.
     """
 
-    def __init__(self, class_of: np.ndarray, dc_upper: int, enabled: bool = True):
+    def __init__(self, class_of: np.ndarray, dc_upper: int):
         self.class_of = class_of
         self.dc_upper = int(dc_upper)
-        self.enabled = enabled
-        self.n_groups = int(class_of.max()) + 1 if class_of.size else 0
         self.committed = np.zeros(class_of.shape[0], dtype=bool)
-        self.group_count = np.zeros(self.n_groups, dtype=np.int64)
-
-    def begin(self) -> None:
-        self.committed[:] = False
-        self.group_count[:] = 0
+        self.group_count = np.zeros(int(class_of.max(initial=-1)) + 1, dtype=np.int64)
 
     def filter(self, candidates: np.ndarray) -> np.ndarray:
         """Boolean mask over ``candidates`` (ascending indices): True = may fire."""
-        if not self.enabled:
-            return np.ones(candidates.shape[0], dtype=bool)
         allowed = np.zeros(candidates.shape[0], dtype=bool)
         for i, j in enumerate(candidates):
             g = self.class_of[j]
@@ -151,13 +110,8 @@ class DecentralizeGate:
     def may_fire(self) -> np.ndarray:
         """Boolean mask over neurons: True where :meth:`filter` would still let
         the neuron fire, False for an uncommitted neuron of a full group.
-        Until :meth:`begin`, a False stays False: groups only fill."""
-        if not self.enabled:
-            return np.ones(self.class_of.shape[0], dtype=bool)
+        A False stays False: groups only fill."""
         return self.committed | (self.group_count[self.class_of] < self.dc_upper)
-
-    def active_per_group(self) -> np.ndarray:
-        return self.group_count.copy()
 
 
 class FreezeTracker:

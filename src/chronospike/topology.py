@@ -13,13 +13,13 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+from collections import deque
 from pathlib import Path
 
 import numpy as np
 
 from . import plasticity as pl
 from .config import ConfigError, RunConfig, canonical_json, config_hash, model_identity
-from .regulation import DecisionWindow
 
 CHECKPOINT_FORMAT = "chronospike-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -133,7 +133,8 @@ class Network:
         self.freeze_ema = np.zeros(self.n_dec)
         self.freeze_n = np.zeros(self.n_dec, dtype=np.int64)
 
-        self.decision_window = DecisionWindow(top.n_classes, cfg.regulation.decision_window_per_class * top.n_classes)
+        # the recent verdicts of phase 2, for regulation.decision_gains
+        self.decision_window: deque[int] = deque(maxlen=cfg.regulation.decision_window_per_class * top.n_classes)
         self.rng = rng
         self.phase = "layer1"
 
@@ -192,16 +193,18 @@ def pool_earliest(first_spike: np.ndarray, pool: tuple[int, int]) -> np.ndarray:
 
 # -- checkpoints ----------------------------------------------------------
 
+#: The network arrays a checkpoint stores, each as the dtype of its kind.
 _ARRAY_FIELDS = (
     "conv_w", "conv_d", "conv_theta", "conv_act", "conv_freeze_ema",
-    "wf", "df", "lat_w", "lat_d", "theta", "act_short", "act_long",
-    "freeze_ema",
+    "wf", "df", "lat_w", "lat_d", "theta", "act_short", "act_long", "freeze_ema",
+    "conv_freeze_n", "lat_src", "lat_tgt", "class_of", "freeze_n",
+    "conv_frozen", "is_inh", "frozen",
 )
-_INT_ARRAY_FIELDS = ("conv_freeze_n", "lat_src", "lat_tgt", "class_of", "freeze_n")
-_BOOL_ARRAY_FIELDS = ("conv_frozen", "is_inh", "frozen")
+_STORED_DTYPE = {"f": "<f8", "i": "<i8", "b": "|u1"}
 
 
-def _encode_array(a: np.ndarray, dtype: str) -> dict:
+def _encode_array(a: np.ndarray) -> dict:
+    dtype = _STORED_DTYPE[a.dtype.kind]
     le = a.astype(dtype)
     return {
         "dtype": dtype,
@@ -219,13 +222,7 @@ def _decode_array(spec: dict) -> np.ndarray:
 
 
 def network_payload(net: Network) -> dict:
-    arrays = {}
-    for name in _ARRAY_FIELDS:
-        arrays[name] = _encode_array(getattr(net, name), "<f8")
-    for name in _INT_ARRAY_FIELDS:
-        arrays[name] = _encode_array(getattr(net, name), "<i8")
-    for name in _BOOL_ARRAY_FIELDS:
-        arrays[name] = _encode_array(getattr(net, name).astype(np.uint8), "|u1")
+    arrays = {name: _encode_array(getattr(net, name)) for name in _ARRAY_FIELDS}
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -233,7 +230,7 @@ def network_payload(net: Network) -> dict:
         "config_hash": config_hash(net.cfg),
         "input_shape": list(net.input_shape),
         "phase": net.phase,
-        "decision_window": list(net.decision_window.buf),
+        "decision_window": list(net.decision_window),
         "arrays": arrays,
         "rng": net.rng.bit_generator.state,
     }
@@ -288,17 +285,17 @@ def load_checkpoint(path: str | Path) -> Network:
     arrays = payload["arrays"]
     if not isinstance(arrays, dict):
         raise StateError(f"{path}: arrays is not an object")
-    for names, dtype in ((_ARRAY_FIELDS, "<f8"), (_INT_ARRAY_FIELDS, "<i8"), (_BOOL_ARRAY_FIELDS, "|u1")):
-        for name in names:
-            if name not in arrays:
-                raise StateError(f"{path}: missing array {name}")
-            a = _decode_array(arrays[name])
-            want = getattr(net, name).shape
-            if a.dtype != np.dtype(dtype) or a.shape != want:
-                raise StateError(f"{path}: array {name} is {a.dtype} {a.shape}, config implies {dtype} {want}")
-            if dtype == "<f8" and not np.isfinite(a).all():
-                raise StateError(f"{path}: array {name} holds a value that is not finite")
-            setattr(net, name, a.astype(bool) if dtype == "|u1" else a)
+    for name in _ARRAY_FIELDS:
+        if name not in arrays:
+            raise StateError(f"{path}: missing array {name}")
+        a = _decode_array(arrays[name])
+        kind = getattr(net, name).dtype.kind
+        dtype, want = _STORED_DTYPE[kind], getattr(net, name).shape
+        if a.dtype != np.dtype(dtype) or a.shape != want:
+            raise StateError(f"{path}: array {name} is {a.dtype} {a.shape}, config implies {dtype} {want}")
+        if kind == "f" and not np.isfinite(a).all():
+            raise StateError(f"{path}: array {name} holds a value that is not finite")
+        setattr(net, name, a.astype(bool) if kind == "b" else a)
     for name, bound in (("lat_src", net.n_dec), ("lat_tgt", net.n_dec), ("class_of", net.n_classes)):
         a = getattr(net, name)
         if a.size and (a.min() < 0 or a.max() >= bound):
@@ -308,11 +305,11 @@ def load_checkpoint(path: str | Path) -> Network:
         if a.size and (a.min() < floor or a.max() > hi):
             raise StateError(f"{path}: array {name} holds a delay outside [{floor:g}, {hi:g}]")
     window = payload["decision_window"]
-    kept = net.decision_window.buf.maxlen
+    kept = net.decision_window.maxlen
     if not (isinstance(window, list) and len(window) <= kept
             and all(type(c) is int and 0 <= c < net.n_classes for c in window)):
         raise StateError(f"{path}: decision_window is not a list of at most {kept} class indices")
-    net.decision_window.restore(window)
+    net.decision_window.extend(window)
     net.phase = payload["phase"]
     try:
         # json turns the uint64 state numbers into ints, which numpy accepts back

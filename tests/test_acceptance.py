@@ -234,6 +234,9 @@ def test_criterion_04_dead_zone_is_bitwise_zero():
 def test_criterion_05_gate_violations_are_zero(runs):
     for seed in (0, 1, 2):
         assert runs(("full", seed))["result"].gate_violations == 0
+    # the count comes from the spikes, so it can read above 0: with the gate
+    # lifted, some class groups fire more than dc_upper neurons
+    assert runs(("abl", "decentralize", 0))["result"].gate_violations > 0
 
 
 # -- 6: decision homeostasis narrows predicted-class skew ------------------------

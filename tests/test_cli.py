@@ -877,6 +877,7 @@ def _eval_on_labels(tmp_path, ws, label):
 # name: (argv built from tmp_path and ws, a text the error line must hold)
 INPUT_PROBES = {
     "ingest --fps 0": (lambda tmp, ws: _recording(tmp) + ["--fps", "0"], "fps"),
+    "ingest --fps inf": (lambda tmp, ws: _recording(tmp) + ["--fps", "inf"], "fps"),
     "ingest --max-frames 0": (lambda tmp, ws: _recording(tmp) + ["--max-frames", "0"], "max_frames"),
     "raw label 12": (lambda tmp, ws: _recording(tmp, rows=((12, 0, 1_000_000),)), "raw label 12"),
     "labels without class": (

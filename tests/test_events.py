@@ -201,6 +201,15 @@ def test_bin_frames_rejects_bad_args():
         bin_frames(stream, fps=33.0, max_frames=0)
 
 
+def test_bin_frames_at_a_huge_fps_keeps_only_bin_0():
+    # every event after t = 0 lands in a bin near 1e294, past max_frames and
+    # past int64, which must be dropped, not cast to a negative index
+    stream = _stream([1, 2, 3], [1, 2, 3], [1, 0, 1], [0, 1, 40_000])
+    seq = bin_frames(stream, fps=1e300, max_frames=4)
+    assert seq.frames[0, 1, 1, 1] == 1
+    assert seq.frames.sum() == 1
+
+
 def implied_events(frames: np.ndarray, fps: float) -> EventStream:
     """One event per set bit, placed at its bin's center time.
 

@@ -54,7 +54,7 @@ from chronospike.plasticity import (
     unsupervised_delay_delta,
 )
 from chronospike.presets import moving_bars_acceptance_config
-from chronospike.regulation import DecentralizeGate
+from chronospike.regulation import DecentralizeGate, decision_gains
 from chronospike.topology import (
     Network,
     build_network,
@@ -120,14 +120,14 @@ def bare_net(**kw):
 
 
 def open_gate(net):
-    return DecentralizeGate(net.class_of, net.cfg.regulation.dc_upper, False)
+    return DecentralizeGate(net.class_of, net.n_dec)
 
 
 def test_forward_delivery_timing():
     net = bare_net()
     net.wf[0, 3] = 2.0
     net.df[0, 3] = 4.2  # quantizes to 4 bins
-    dec_t, dec_j, _ = _decision_sim(
+    dec_t, dec_j = _decision_sim(
         net, np.array([2], np.int64), np.array([3], np.int64), 24, open_gate(net)
     )
     assert dec_t.tolist() == [6]
@@ -139,7 +139,7 @@ def test_delivery_after_input_window_still_lands():
     net.wf[1, 0] = 2.0
     net.df[1, 0] = 8.0
     # pooled spike near the end of a short window: delivery at 23 + 8 = 31 > 24
-    dec_t, dec_j, _ = _decision_sim(
+    dec_t, dec_j = _decision_sim(
         net, np.array([23], np.int64), np.array([0], np.int64), 24, open_gate(net)
     )
     assert dec_t.tolist() == [31]
@@ -155,7 +155,7 @@ def test_lateral_delivery_and_sign():
     net.lat_tgt = np.array([5], np.int64)
     net.lat_w = np.array([3.0])
     net.lat_d = np.array([2.0])
-    dec_t, dec_j, _ = _decision_sim(
+    dec_t, dec_j = _decision_sim(
         net, np.array([0], np.int64), np.array([0], np.int64), 24, open_gate(net)
     )
     fired = dict(zip(dec_j.tolist(), dec_t.tolist()))
@@ -176,7 +176,7 @@ def test_inhibitory_lateral_suppresses():
     net.lat_d = np.array([3.0])
     # neuron 0 fires at t=0, its inhibition lands at t=3 alongside the
     # forward drive of neuron 5 and cancels it
-    dec_t, dec_j, _ = _decision_sim(
+    dec_t, dec_j = _decision_sim(
         net, np.array([0, 0], np.int64), np.array([0, 1], np.int64), 24, open_gate(net)
     )
     assert 5 not in dec_j.tolist()
@@ -189,13 +189,32 @@ def test_gate_caps_distinct_neurons_per_group():
     for j in grp0:
         net.wf[j, 0] = 2.0
         net.df[j, 0] = 0.0
-    gate = DecentralizeGate(net.class_of, 2, True)
-    dec_t, dec_j, active = _decision_sim(
+    gate = DecentralizeGate(net.class_of, 2)
+    dec_t, dec_j = _decision_sim(
         net, np.array([1], np.int64), np.array([0], np.int64), 24, gate
     )
     assert len(set(dec_j.tolist())) == 2
     assert set(dec_j.tolist()) == {grp0[0], grp0[1]}  # lowest indices win the tie
-    assert active[0] == 2
+    assert gate.group_count[0] == 2
+
+
+def test_each_presentation_starts_with_empty_groups():
+    # sample A drives neurons 0 and 1 of class 0 and fills the group (cap
+    # 2); sample B drives neurons 2 and 3. B must fire both whether or not A
+    # ran before it: a presentation's gate starts with no group committed.
+    net = bare_net()
+    net.wf[:2, 0] = 2.0  # A: pooled unit 0
+    net.wf[2:4, 1] = 2.0  # B: pooled unit 1
+    frames = np.zeros((24, 2, 6, 6))
+
+    def run(unit):
+        return run_presentation(net, frames, pooled=(np.array([1], np.int64), np.array([unit], np.int64)))
+
+    first_b, a, second_b = run(1), run(0), run(1)
+    assert a.decision_neuron.tolist() == [0, 1]
+    assert first_b.decision_neuron.tolist() == [2, 3]
+    for f in dataclasses.fields(first_b):
+        np.testing.assert_array_equal(getattr(first_b, f.name), getattr(second_b, f.name), err_msg=f.name)
 
 
 def test_refractory_spacing_in_decision_layer():
@@ -211,7 +230,7 @@ def test_refractory_spacing_in_decision_layer():
     net.df[2, 1] = 2.0  # second delivery arrives during refractory: discarded
     net.wf[2, 2] = 5.0
     net.df[2, 2] = 6.0
-    dec_t, dec_j, _ = _decision_sim(
+    dec_t, dec_j = _decision_sim(
         net,
         np.array([0, 0, 0], np.int64),
         np.array([0, 1, 2], np.int64),
@@ -232,7 +251,7 @@ def test_self_sustaining_loop_stops_at_hard_cap():
     net.lat_tgt = np.array([1, 0], np.int64)
     net.lat_w = np.array([2.0, 2.0])
     net.lat_d = np.array([1.0, 1.0])
-    dec_t, dec_j, _ = _decision_sim(net, np.array([0], np.int64), np.array([0], np.int64), 4, open_gate(net))
+    dec_t, dec_j = _decision_sim(net, np.array([0], np.int64), np.array([0], np.int64), 4, open_gate(net))
     hard_cap = 4 + FLUSH_FACTOR * (int(net.cfg.plasticity.d_max) + 1)
     assert dec_t.tolist() == list(range(hard_cap))
     assert dec_j.tolist() == [t % 2 for t in range(hard_cap)]
@@ -298,7 +317,6 @@ def loop_decision_sim(net, pooled_t, pooled_unit, t_input, gate):
     ring = RingBuffer(n, par.d_max)
     v = np.zeros(n)
     refr = np.full(n, -(1 << 30), dtype=np.int64)
-    gate.begin()
     ts, js = [], []
     hard_cap = max(int(t_input), f_last + 1) + FLUSH_FACTOR * (d_max_int + 1)
     t = 0
@@ -320,8 +338,7 @@ def loop_decision_sim(net, pooled_t, pooled_unit, t_input, gate):
                     if e.size:
                         ring.schedule(net.lat_tgt[e], net.lat_w[e], lat_dint[e], t)
         t += 1
-    active = gate.active_per_group() if gate.enabled else np.zeros(net.n_classes, np.int64)
-    return np.asarray(ts, np.int64), np.asarray(js, np.int64), active
+    return np.asarray(ts, np.int64), np.asarray(js, np.int64)
 
 
 #: Weights whose sums depend on the order of the terms: 1 + 2**-53 rounds
@@ -341,7 +358,7 @@ def order_net(tau_m=0.01, t_ref=3):
 
 def assert_matches_loop(net, pooled_t, pooled_unit, gate_on):
     got, want = (
-        sim(net, pooled_t, pooled_unit, 12, DecentralizeGate(net.class_of, 1, gate_on))
+        sim(net, pooled_t, pooled_unit, 12, DecentralizeGate(net.class_of, 1 if gate_on else net.n_dec))
         for sim in (_decision_sim, loop_decision_sim)
     )
     for g, w in zip(got, want):
@@ -397,7 +414,7 @@ def test_decision_sim_adds_in_reference_order():
     net.lat_tgt = np.tile([3, 2], 12)
     net.lat_w = np.repeat(terms, 2)
     net.lat_d = np.ones(24)
-    dec_t, dec_j, _ = assert_matches_loop(net, np.zeros(13, np.int64), np.arange(13), False)
+    dec_t, dec_j = assert_matches_loop(net, np.zeros(13, np.int64), np.arange(13), False)
     assert dec_t.tolist() == [0, 0] and dec_j.tolist() == [0, 1]
 
 
@@ -423,9 +440,9 @@ def test_decision_sim_stops_once_every_class_group_is_full(monkeypatch):
     for key, sim in (("harness", _decision_sim), ("reference", loop_decision_sim)):
         monkeypatch.setattr(harness, "lif_integrate", counted(key))
         monkeypatch.setitem(globals(), "lif_integrate", counted(key))
-        gate = DecentralizeGate(net.class_of, cfg.regulation.dc_upper, True)
+        gate = DecentralizeGate(net.class_of, cfg.regulation.dc_upper)
         outs.append(sim(net, pooled_t, pooled_unit, sample.frames.shape[0], gate))
-    assert (outs[0][2] == cfg.regulation.dc_upper).all()
+        assert (gate.group_count == cfg.regulation.dc_upper).all()
     for g, w in zip(*outs):
         assert g.dtype == w.dtype and np.array_equal(g, w)
     assert 0 < bins["harness"] < bins["reference"]
@@ -679,17 +696,18 @@ def test_abstaining_presentations_leave_decision_layer_unchanged():
     net = build_network(cfg, (2, 6, 6))
     net.wf[:] = 0.0
     net.lat_w[:] = 0.0
-    net.decision_window.restore([0] * 6)
+    net.decision_window.extend([0] * 6)
     before = [a.copy() for a in (net.wf, net.df, net.lat_w, net.lat_d)]
     train_layer2(net, samples, build_pooled_cache(net, samples))
     for name, a, b in zip(("wf", "df", "lat_w", "lat_d"), before, (net.wf, net.df, net.lat_w, net.lat_d)):
         np.testing.assert_array_equal(a, b, err_msg=name)
-    assert list(net.decision_window.buf) == [0] * 6
+    assert list(net.decision_window) == [0] * 6
 
 
 def test_decision_window_counts_match_its_buffer(tmp_path):
-    """The network's window keeps its per-class counts equal to a recount
-    of its buffer across phase-2 calls and a checkpoint round trip."""
+    """The network's window fills to its length over phase-2 calls and
+    survives a checkpoint round trip, and its gains follow a recount of its
+    verdicts."""
     cfg = tiny_cfg(regulation=RegulationParams(decision_window_per_class=2))
     samples = samples_for(cfg)
     net = build_network(cfg, (2, 6, 6))
@@ -698,10 +716,11 @@ def test_decision_window_counts_match_its_buffer(tmp_path):
     train_layer2(net, samples, cache)
     save_checkpoint(tmp_path / "ckpt.json", net)
     loaded = load_checkpoint(tmp_path / "ckpt.json")
-    assert list(loaded.decision_window.buf) == list(net.decision_window.buf)
+    assert list(loaded.decision_window) == list(net.decision_window)
     for window in (net.decision_window, loaded.decision_window):
-        assert len(window) == window.buf.maxlen
-        np.testing.assert_array_equal(window.counts, np.bincount(list(window.buf), minlength=net.n_classes))
+        assert len(window) == window.maxlen == 2 * net.n_classes
+        counts = np.array([list(window).count(c) for c in range(net.n_classes)])
+        np.testing.assert_array_equal(decision_gains(window, net.n_classes), (2 - counts) / 2)
 
 
 def test_pair_deltas_empty_without_decision_spikes():

@@ -1,5 +1,7 @@
 """Homeostatic gains, threshold steps, decision balancing, gating, freezing."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 from chronospike.config import RegulationParams
 from chronospike.regulation import (
     DecentralizeGate,
-    DecisionWindow,
     FreezeTracker,
+    decision_gains,
     ema_alpha,
     ema_update,
     interval_gain,
@@ -77,70 +79,46 @@ def test_threshold_step_directions():
 
 
 def test_decision_window_counts_and_gains():
-    win = DecisionWindow(2, length=20)
-    for v in (0, 0, 0, 1):
-        win.push(v)
-    gains = win.gains()
+    gains = decision_gains(deque([0, 0, 0, 1], maxlen=20), 2)
     # target is an equal share of the 4 decisions: 2 each
     assert gains[0] == pytest.approx(-0.5)
     assert gains[1] == pytest.approx(0.5)
 
 
-def test_decision_window_ignores_abstentions():
-    win = DecisionWindow(2, length=10)
-    win.push(None)
-    assert len(win) == 0
-    assert (win.gains() == 0).all()
-    win.push(1)
-    win.push(None)
-    assert len(win) == 1
-    assert win.counts.tolist() == [0, 1]
+def test_decision_gains_of_an_empty_window_are_zero():
+    gains = decision_gains(deque(maxlen=10), 2)
+    assert gains.tolist() == [0.0, 0.0]
 
 
 def test_decision_window_evicts_oldest():
-    win = DecisionWindow(2, length=3)
-    for v in (0, 0, 0, 1, 1, 1):
-        win.push(v)
-    assert len(win) == 3
-    assert win.counts.tolist() == [0, 3]
+    win = deque(maxlen=3)
+    win.extend((0, 0, 0, 1, 1, 1))
+    assert list(win) == [1, 1, 1]
+    # the target is 1.5 each; class 1 holds all 3, class 0 none
+    assert decision_gains(win, 2).tolist() == [1.0, -1.0]
 
 
 def test_decision_window_balanced_is_zero():
-    win = DecisionWindow(3, length=30)
-    for v in (0, 1, 2) * 5:
-        win.push(v)
-    assert (win.gains() == 0.0).all()
-
-
-def test_decision_window_snapshot_restore():
-    win = DecisionWindow(3, length=9)
-    for v in (0, 1, 2, 2, 1):
-        win.push(v)
-    other = DecisionWindow(3, length=9)
-    other.restore(list(win.buf))
-    assert other.counts.tolist() == win.counts.tolist()
-    assert list(other.buf) == list(win.buf)
+    assert (decision_gains(deque((0, 1, 2) * 5, maxlen=30), 3) == 0.0).all()
 
 
 # -- decentralization gate ------------------------------------------------------
 
 
-def make_gate(dc=2, enabled=True):
+def make_gate(dc=2):
     class_of = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    return DecentralizeGate(class_of, dc, enabled)
+    return DecentralizeGate(class_of, dc)
 
 
 def test_gate_first_come_first_served():
     gate = make_gate()
-    gate.begin()
     allowed = gate.filter(np.array([0, 1, 2, 3]))
     assert allowed.tolist() == [True, True, False, False]
-    assert gate.active_per_group().tolist() == [2, 0]
+    assert gate.group_count.tolist() == [2, 0]
 
 
 def test_gate_committed_neurons_keep_firing():
     gate = make_gate()
-    gate.begin()
     gate.filter(np.array([1]))
     gate.filter(np.array([2]))
     allowed = gate.filter(np.array([1, 3]))
@@ -149,43 +127,32 @@ def test_gate_committed_neurons_keep_firing():
 
 def test_gate_groups_independent():
     gate = make_gate()
-    gate.begin()
     allowed = gate.filter(np.array([0, 1, 2, 4, 5, 6]))
     assert allowed.tolist() == [True, True, False, True, True, False]
-    assert gate.active_per_group().tolist() == [2, 2]
+    assert gate.group_count.tolist() == [2, 2]
 
 
 def test_gate_ties_resolve_to_lowest_index():
     gate = make_gate(dc=1)
-    gate.begin()
     allowed = gate.filter(np.array([2, 3]))  # same bin, ascending order
     assert allowed.tolist() == [True, False]
 
 
-def test_gate_begin_resets():
-    gate = make_gate(dc=1)
-    gate.begin()
-    gate.filter(np.array([0]))
-    gate.begin()
-    allowed = gate.filter(np.array([3]))
-    assert allowed.tolist() == [True]
-    assert gate.active_per_group().tolist() == [1, 0]
-
-
 def test_gate_disabled_passes_everything():
-    gate = make_gate(dc=1, enabled=False)
-    gate.begin()
-    allowed = gate.filter(np.array([0, 1, 2, 3]))
-    assert allowed.all()
-    assert gate.active_per_group().tolist() == [0, 0]
+    # with decentralization disabled the cap is the layer size, which no
+    # group can reach
+    gate = make_gate(dc=8)
+    for cand in ([0, 1, 2, 3], [4, 5, 6, 7], [0, 3, 5]):
+        assert gate.may_fire().all()
+        assert gate.filter(np.array(cand)).all()
+    assert gate.may_fire().all()
 
 
 def test_gate_never_exceeds_cap_under_fuzz():
     rng = np.random.default_rng(0)
     class_of = np.repeat(np.arange(4), 5)
-    gate = DecentralizeGate(class_of, 2, True)
     for _ in range(200):
-        gate.begin()
+        gate = DecentralizeGate(class_of, 2)
         fired = np.zeros(20, dtype=np.int64)
         for _bin in range(30):
             cand = np.nonzero(rng.random(20) < 0.2)[0]
@@ -197,7 +164,7 @@ def test_gate_never_exceeds_cap_under_fuzz():
         per_group = np.zeros(4, dtype=np.int64)
         np.add.at(per_group, class_of, (fired > 0).astype(np.int64))
         assert (per_group <= 2).all()
-        assert (gate.active_per_group() <= 2).all()
+        assert (gate.group_count <= 2).all()
 
 
 # -- freeze tracker -----------------------------------------------------------

@@ -317,7 +317,7 @@ def _mutate_traces(net):
     net.theta[1] = 1.75
     net.act_short[:] = 0.3
     net.frozen[0] = True
-    net.decision_window.restore([0, 1, 1])
+    net.decision_window.extend([0, 1, 1])
     net.phase = "layer2"
 
 
@@ -334,7 +334,7 @@ def test_checkpoint_round_trip_exact(tmp_path):
         np.testing.assert_array_equal(getattr(net, name), getattr(loaded, name), err_msg=name)
     np.testing.assert_array_equal(net.frozen, loaded.frozen)
     np.testing.assert_array_equal(net.is_inh, loaded.is_inh)
-    assert list(net.decision_window.buf) == list(loaded.decision_window.buf)
+    assert list(net.decision_window) == list(loaded.decision_window)
     assert loaded.phase == "layer2"
     assert config_hash(loaded.cfg) == config_hash(net.cfg)
 
