@@ -30,6 +30,11 @@ them (``metrics.jsonl`` without its header line), so two files show whether
 training took the same path step by step. Compare two files only when they
 come from the same host.
 
+Each repeat also times the checkpoint codec on its trained network, median
+of ``CODEC_CALLS`` calls each: ``save_checkpoint``, ``load_checkpoint`` of
+that file, and the first ``state_hash`` of the loaded network, the one that
+serializes its config. On the 32x32 row these cost more than evaluation.
+
 The two simulation stages also record the bins they visit per call,
 counted as their calls of the per-bin LIF function (``BIN_CALLS``), and
 the row records the share of ``_decision_sim`` calls that stopped early:
@@ -51,6 +56,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -59,7 +65,14 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from chronospike import gen_synthetic, harness, moving_bars_spec, state_hash  # noqa: E402
+from chronospike import (  # noqa: E402
+    gen_synthetic,
+    harness,
+    load_checkpoint,
+    moving_bars_spec,
+    save_checkpoint,
+    state_hash,
+)
 from chronospike.presets import moving_bars_acceptance_config  # noqa: E402
 
 #: Per-call stages, as names in the harness module: the conv sheet, pooling,
@@ -75,6 +88,10 @@ PHASES = ("train_layer1", "build_pooled_cache", "train_layer2", "evaluate")
 #: Runs of each row: preset wall time drifts by a quarter between runs on a
 #: shared host, so one run is not a timing.
 REPEATS = 3
+#: Calls of each checkpoint codec function per repeat; their median is the timing.
+CODEC_CALLS = 5
+#: The codec functions, each timed on the trained network of a repeat.
+CODEC = ("save_checkpoint", "load_checkpoint", "state_hash")
 
 
 def preset_8x8():
@@ -165,6 +182,26 @@ class StageClock:
         return noted
 
 
+def codec_ms(net) -> dict:
+    """Median milliseconds per call of each function in ``CODEC`` on
+    ``net``: its save, the load of that file, and the first ``state_hash``
+    of each loaded network."""
+    times = {name: [] for name in CODEC}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.json"
+        for _ in range(CODEC_CALLS):
+            t0 = time.perf_counter()
+            save_checkpoint(path, net)
+            t1 = time.perf_counter()
+            loaded = load_checkpoint(path)
+            t2 = time.perf_counter()
+            state_hash(loaded)
+            t3 = time.perf_counter()
+            for name, dt in zip(CODEC, (t1 - t0, t2 - t1, t3 - t2)):
+                times[name].append(dt)
+    return {name: 1e3 * statistics.median(ts) for name, ts in times.items()}
+
+
 def run_row(make) -> dict:
     cfg, train, test = make()
     rows = hashlib.sha256()
@@ -189,6 +226,7 @@ def run_row(make) -> dict:
             for name in STAGES
         },
         "decision_stopped_early_share": clock.stopped_early / clock.calls["_decision_sim"],
+        "codec_ms": codec_ms(res.net),
         "state_hash": state_hash(res.net),
         "metrics_sha256": rows.hexdigest(),
         "accuracy": ev.accuracy,
@@ -218,6 +256,7 @@ def summarize(repeats: list[dict]) -> dict:
         "decision_stopped_early_share": repeats[0]["decision_stopped_early_share"],
         "median_wall_s": statistics.median(r["wall_s"] for r in repeats),
         "median_ms_per_call": ms,
+        "median_codec_ms": {name: statistics.median(r["codec_ms"][name] for r in repeats) for name in CODEC},
     }
 
 
@@ -243,7 +282,8 @@ def main(argv=None) -> int:
             stages = repeats[-1]["stages"]
             print(
                 f"{name} repeat {i}: {repeats[-1]['wall_s']:.2f} s, _conv_pair_deltas "
-                f"{stages['_conv_pair_deltas']['ms_per_call']:.2f} ms/call",
+                f"{stages['_conv_pair_deltas']['ms_per_call']:.2f} ms/call, state_hash "
+                f"{repeats[-1]['codec_ms']['state_hash']:.2f} ms",
                 flush=True,
             )
         out["rows"][name] = {"summary": summarize(repeats), "repeats": repeats}

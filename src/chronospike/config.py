@@ -234,6 +234,8 @@ def _edges(name: str, edges) -> tuple:
         types |= set(map(type, lag))
     if out is None or not shapes <= {3} or not all(issubclass(t, numbers.Integral) and t is not bool for t in types):
         raise ConfigError(f"{name}: an edge is not [[p, y, x], [p, y, x], lag] of ints")
+    cells = {}  # one tuple per distinct cell: a cell is in many edges, and each loaded config keeps them
+    src, tgt = (tuple(map(cells.setdefault, c, c)) for c in (src, tgt))
     return tuple(zip(src, tgt, map(int, lag)))
 
 
@@ -309,6 +311,15 @@ class RunConfig:
     @property
     def delay_learning_on(self) -> bool:
         return self.delay_mode == "learned" and not self.is_disabled("delay-learning")
+
+    @functools.cached_property
+    def identity_text(self) -> str:
+        """:func:`canonical_json` of :func:`model_identity`, made once per
+        config object: a 32x32 spec's embedded edges are over 100 KiB of
+        text, and :func:`config_hash` and every checkpoint write it. The
+        record is frozen, so the text cannot go stale; a changed config is
+        a new object (``dataclasses.replace``) with its own cache."""
+        return canonical_json(model_identity(self))
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunConfig":
@@ -446,14 +457,10 @@ def to_dict(cfg) -> dict[str, Any]:
 
 
 def canonical_json(obj: Any) -> str:
-    """Stable serialization: sorted keys, no whitespace, tuples as lists."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_default)
-
-
-def _json_default(obj):
-    if isinstance(obj, tuple):
-        return list(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+    """Stable serialization: sorted keys, no whitespace, tuples as lists.
+    Configs and checkpoints hold no cycles, so the circular-reference check
+    is skipped; the text is the same."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def model_identity(cfg: RunConfig) -> dict[str, Any]:
@@ -469,9 +476,10 @@ def model_identity(cfg: RunConfig) -> dict[str, Any]:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    """Digest of a model's identity. ``out_dir`` is not part of it, so two
+    """Digest of a model's identity, the config's cached
+    :attr:`RunConfig.identity_text`. ``out_dir`` is not part of it, so two
     configs that differ only in their output directory hash the same."""
-    return hashlib.sha256(canonical_json(model_identity(cfg)).encode()).hexdigest()
+    return hashlib.sha256(cfg.identity_text.encode()).hexdigest()
 
 
 def with_disabled(cfg: RunConfig, *mechanisms: str) -> RunConfig:
@@ -499,7 +507,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def save_config(cfg: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(to_dict(cfg), indent=2, default=_json_default) + "\n")
+    Path(path).write_text(json.dumps(to_dict(cfg), indent=2) + "\n")
 
 
 def apply_overrides(cfg: RunConfig, assignments: list[str]) -> RunConfig:

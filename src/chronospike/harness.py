@@ -94,22 +94,24 @@ def _conv_sim(net: Network, frames: np.ndarray):
     which every conv neuron is refractory through the last bin of the
     currents. The bins it leaves out are exact to skip: input is ignored
     during a refractory window, so none of them could spike, and the spike
-    tensor and first-spike map are outputs of spike bins alone."""
+    tensor and first-spike map are outputs of spike bins alone. The map is
+    read from the tensor once, after the loop: each neuron's first spike
+    bin, or inf."""
     cur = conv_forward_currents(net, frames)
     t_tot = cur.shape[0]
     v = np.zeros(cur.shape[1:])
     refr = np.full(cur.shape[1:], -(1 << 30), dtype=np.int64)
     spikes = np.zeros(cur.shape, dtype=bool)
-    first = np.full(cur.shape[1:], np.inf)
     theta = net.conv_theta[:, None, None]
     lif = net.cfg.lif
     for t in range(t_tot):
         v, refr, spk = lif_step(v, cur[t], t, theta, refr, lif)
         if spk.any():
             spikes[t] = spk
-            first = np.where(spk & ~np.isfinite(first), float(t), first)
             if refr.min() >= t_tot - 1:
                 break
+    del cur  # freed before the map is read, which copies the tensor
+    first = np.where(spikes.any(axis=0), spikes.argmax(axis=0), np.inf)
     return spikes, first
 
 

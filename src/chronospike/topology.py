@@ -153,28 +153,36 @@ def conv_forward_currents(net: Network, frames: np.ndarray) -> np.ndarray:
     """Precompute the delayed, weighted input to every conv neuron.
 
     Valid because nothing feeds back into the convolutional sheet: all its
-    input is known up front. The work follows the input events: an event at
-    bin t seen by tap j = (p, ky, kx) from conv cell c is the term
-    ``conv_w[m, j] * value`` at bin ``t + dint[m, j]`` of cell c, and one
-    ``np.bincount`` per map m sums the terms. Events are listed tap by tap
-    in (p, ky, kx) order, a cell gets at most one term per tap, and bincount
-    adds in input order, so every cell sums the same terms in the same order
-    as a loop over taps adding whole frame slices, bit for bit. Returns
-    [T + d_max + 1, n_maps, Hc, Wc]."""
+    input is known up front. The work follows the input events, each found
+    once: an event at bin t seen by tap j = (p, ky, kx) from conv cell c is
+    the term ``conv_w[m, j] * value`` at bin ``t + dint[m, j]`` of cell c,
+    and one ``np.bincount`` per map m sums the terms. Each channel's events
+    are expanded over its taps, cells outside the sheet masked off, and
+    listed tap-major in (p, ky, kx) order, so a tap's terms form one run and
+    its weight and delay are repeated over the run. A cell gets at most one
+    term per tap, and bincount adds in input order, so every cell sums the
+    same terms in the same order as a loop over taps adding whole frame
+    slices, bit for bit. Returns [T + d_max + 1, n_maps, Hc, Wc]."""
     hc, wc = net.conv_hw
     st, (kh, kw) = net.cfg.topology.stride, net.cfg.topology.kernel
-    cell, tap, value = [], [], []
-    for j, (p, ky, kx) in enumerate(np.ndindex(frames.shape[1], kh, kw)):
-        sl = frames[:, p, ky : ky + hc * st : st, kx : kx + wc * st : st].ravel()
-        cell.append(np.flatnonzero(sl))  # t * Hc * Wc + y * Wc + x
-        value.append(sl[cell[-1]])
-        tap.append(np.full(cell[-1].size, j))
-    cell, tap, value = (np.concatenate(a) for a in (cell, tap, value))
-    dint = pl.delay_bins(net.conv_d, net.cfg.plasticity).reshape(net.n_maps, -1)
+    cell, value, runs = [], [], []
+    for p in range(frames.shape[1]):
+        t, y, x = np.nonzero(frames[:, p])
+        oy, ox = y - np.arange(kh)[:, None], x - np.arange(kw)[:, None]  # (kh, n), (kw, n): cell y, x times st
+        keep = ((oy >= 0) & (oy < hc * st) & (oy % st == 0))[:, None] & ((ox >= 0) & (ox < wc * st) & (ox % st == 0))
+        at = (t * (hc * wc) + oy // st * wc)[:, None] + ox // st  # (kh, kw, n): t * Hc * Wc + y * Wc + x
+        cell.append(at[keep])
+        value.append(np.broadcast_to(frames[t, p, y, x], keep.shape)[keep])
+        runs.append(np.count_nonzero(keep, axis=2).ravel())
+    cell, value, runs = (np.concatenate(a) for a in (cell, value, runs))
+    dint = pl.delay_bins(net.conv_d, net.cfg.plasticity).reshape(net.n_maps, -1) * (hc * wc)
     out = np.empty((frames.shape[0] + int(round(net.cfg.plasticity.d_max)) + 1, net.n_maps, hc, wc))
     for m in range(net.n_maps):
-        terms = net.conv_w[m].ravel()[tap] * value
-        out[:, m] = np.bincount(cell + dint[m, tap] * (hc * wc), terms, out[:, m].size).reshape(-1, hc, wc)
+        terms = np.repeat(net.conv_w[m].ravel(), runs)
+        terms *= value
+        at = np.repeat(dint[m], runs)
+        at += cell
+        out[:, m] = np.bincount(at, terms, out[:, m].size).reshape(-1, hc, wc)
     return out
 
 
@@ -205,11 +213,10 @@ _STORED_DTYPE = {"f": "<f8", "i": "<i8", "b": "|u1"}
 
 def _encode_array(a: np.ndarray) -> dict:
     dtype = _STORED_DTYPE[a.dtype.kind]
-    le = a.astype(dtype)
     return {
         "dtype": dtype,
         "shape": list(a.shape),
-        "data": base64.b64encode(le.tobytes()).decode("ascii"),
+        "data": base64.b64encode(np.ascontiguousarray(a, dtype=dtype)).decode("ascii"),
     }
 
 
@@ -236,11 +243,40 @@ def network_payload(net: Network) -> dict:
     }
 
 
+def _object_text(texts: dict[str, str]) -> str:
+    """The compact sorted-key JSON object whose values are the JSON texts
+    ``texts`` holds, for keys that JSON writes unescaped."""
+    parts = ["{"]
+    for i, (key, text) in enumerate(sorted(texts.items())):
+        parts += ("," if i else "", '"', key, '":', text)
+    parts.append("}")
+    return "".join(parts)
+
+
 def _payload_text(net: Network) -> str:
     """The checkpoint text: :func:`network_payload` as compact JSON with
-    sorted keys. :func:`save_checkpoint` writes it and :func:`state_hash`
-    digests it."""
-    return json.dumps(network_payload(net), sort_keys=True, separators=(",", ":"))
+    sorted keys (:func:`~chronospike.config.canonical_json`).
+    :func:`save_checkpoint` writes it and :func:`state_hash` digests it.
+
+    Sorted-key JSON writes an object as its keys in sorted order, each
+    followed by the text of its value alone, so the values are written one
+    by one and put in their keys' places. The config is not serialized
+    again: the place of ``config`` takes its cached
+    :attr:`~chronospike.config.RunConfig.identity_text`. The arrays skip the
+    escape scan of ``json``, which would read every character of their
+    base64 data: base64, dtype names and the payload's keys hold no
+    character JSON escapes. The text equals the one-shot dump of the whole
+    payload as long as these hold, which the tests check."""
+    payload = network_payload(net)
+    texts = {key: canonical_json(value) for key, value in payload.items() if key not in ("config", "arrays")}
+    texts["config"] = net.cfg.identity_text
+    texts["arrays"] = _object_text({
+        name: _object_text({
+            "data": f'"{a["data"]}"', "dtype": f'"{a["dtype"]}"', "shape": canonical_json(a["shape"]),
+        })
+        for name, a in payload["arrays"].items()
+    })
+    return _object_text(texts)
 
 
 def save_checkpoint(path: str | Path, net: Network) -> None:
@@ -253,10 +289,10 @@ def load_checkpoint(path: str | Path) -> Network:
     Raises :class:`StateError` unless the file holds every field, its
     ``config_hash`` digests its stored config (as written, before retired
     fields are dropped), ``phase`` is known, every array has the shape and
-    dtype the config implies, float arrays are finite, delays lie in
-    [floor, max(floor, d_max)], edge, class and decision-window entries
-    index existing neurons and classes, and the decision window is no
-    longer than the config keeps. A stored config that this code rejects,
+    dtype the config implies, float arrays are finite, bool arrays hold
+    bytes 0 and 1 only, delays lie in [floor, max(floor, d_max)], edge,
+    class and decision-window entries index existing neurons and classes,
+    and the decision window is no longer than the config keeps. A stored config that this code rejects,
     or that builds no network on ``input_shape``, is a :class:`StateError`
     too."""
     try:
@@ -295,6 +331,8 @@ def load_checkpoint(path: str | Path) -> Network:
             raise StateError(f"{path}: array {name} is {a.dtype} {a.shape}, config implies {dtype} {want}")
         if kind == "f" and not np.isfinite(a).all():
             raise StateError(f"{path}: array {name} holds a value that is not finite")
+        if kind == "b" and a.size and a.max() > 1:
+            raise StateError(f"{path}: array {name} holds a byte other than 0 or 1")
         setattr(net, name, a.astype(bool) if kind == "b" else a)
     for name, bound in (("lat_src", net.n_dec), ("lat_tgt", net.n_dec), ("class_of", net.n_classes)):
         a = getattr(net, name)

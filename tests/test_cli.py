@@ -448,6 +448,7 @@ HOSTILE_CHECKPOINTS = {
     "w_forward_init [0.2]": lambda p: _set_config(p, lambda c: c["topology"].update(w_forward_init=[0.2])),
     "decision_window of 37 in a window of 30": lambda p: p.update(decision_window=[0] * 37),
     "config key with a newline": lambda p: _set_config(p, lambda c: c["topology"].update({"a\nb": 1})),
+    "frozen byte 2": lambda p: _set_first(p, "frozen", 2),
 }
 
 

@@ -1,6 +1,7 @@
 """Config loading: retired fields, value checks, and fields the package reads."""
 
 import dataclasses
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -14,8 +15,10 @@ from chronospike.config import (
     RunConfig,
     TopologyParams,
     apply_overrides,
+    canonical_json,
     config_hash,
     load_config,
+    model_identity,
     to_dict,
 )
 
@@ -229,6 +232,23 @@ def test_to_dict_equals_asdict():
     cfg = tiny_cfg()
     assert cfg.synthetic is not None and cfg.synthetic.embedded_delays
     assert to_dict(cfg) == dataclasses.asdict(cfg)
+
+
+def test_config_hash_of_a_replaced_config_is_its_own():
+    """The identity text is cached on the config object. A replaced config,
+    at the top level or in a section, is a new object with its own text, so
+    once the original's text is cached the copy's hash still differs."""
+    cfg = tiny_cfg()
+    before = config_hash(cfg)
+    assert "identity_text" in vars(cfg)
+    for other in (
+        dataclasses.replace(cfg, seed=cfg.seed + 1),
+        dataclasses.replace(cfg, topology=dataclasses.replace(cfg.topology, n_maps=5)),
+    ):
+        assert config_hash(other) != before
+        assert config_hash(other) == hashlib.sha256(canonical_json(model_identity(other)).encode()).hexdigest()
+    assert config_hash(dataclasses.replace(cfg, out_dir="elsewhere")) == before
+    assert config_hash(cfg) == before
 
 
 def test_apply_overrides_leaves_the_source_config_unchanged():

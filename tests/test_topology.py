@@ -1,13 +1,17 @@
 """Network construction, convolution plumbing, pooling, checkpoints."""
 
+import base64
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+
+from conftest import tiny_cfg
 
 from chronospike.config import (
     ConfigError,
@@ -19,8 +23,12 @@ from chronospike.config import (
     config_hash,
 )
 from chronospike.core import lif_step
+from chronospike.harness import train
+from chronospike.presets import moving_bars_acceptance_config
+from chronospike.synthetic import gen_synthetic, moving_bars_spec
 from chronospike.topology import (
     Network,
+    _payload_text,
     StateError,
     build_network,
     conv_forward_currents,
@@ -271,6 +279,30 @@ def test_conv_currents_equal_tap_loop(stride, kernel, extra, n_maps, n_pol, n_bi
     assert np.array_equal(cur, tap_loop_currents(net, frames))
 
 
+def _sheet_32x32():
+    """The preset constants on a 32x32 moving-bars grid, as the event-camera
+    benchmark evaluates them, and one of its samples."""
+    spec = moving_bars_spec(grid=(32, 32), pattern_length=50, noise_rate=0.01, seed=0, step_bins=1)
+    frames = gen_synthetic(spec, 1)[0].frames
+    cfg = moving_bars_acceptance_config(0, synthetic=spec)
+    return build_network(cfg, frames.shape[1:]), frames
+
+
+def test_conv_currents_memory_stays_near_the_output():
+    """At 32x32 the currents are a [71, 16, 28, 28] float64 array of 6.8
+    MiB. Finding each input event once keeps the working set beside it
+    below the 9.1 MiB the frame-slice scan per tap peaked at."""
+    net, frames = _sheet_32x32()
+    tracemalloc.start()
+    try:
+        cur = conv_forward_currents(net, frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cur.nbytes == 71 * 16 * 28 * 28 * 8
+    assert peak < 9.1 * 2**20
+
+
 def test_conv_currents_of_empty_frames_are_zero():
     net = build_network(small_cfg(), (2, 8, 8))
     cur = conv_forward_currents(net, np.zeros((5, 2, 8, 8), np.uint8))
@@ -427,12 +459,58 @@ def test_checkpoint_rejects_tampered_shape(tmp_path):
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("name", ["frozen", "conv_frozen", "is_inh"])
+def test_checkpoint_rejects_a_bool_byte_above_1(tmp_path, name):
+    """A bool array is stored one byte per entry; a byte of 2 would load as
+    True and the loaded state would no longer hash to what the file holds."""
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, build_network(small_cfg(), (2, 10, 10)))
+    payload = json.loads(path.read_text())
+    spec = payload["arrays"][name]
+    raw = bytearray(base64.b64decode(spec["data"]))
+    raw[0] = 2
+    spec["data"] = base64.b64encode(bytes(raw)).decode("ascii")
+    path.write_text(json.dumps(payload))
+    with pytest.raises(StateError, match=f"array {name} holds a byte other than 0 or 1"):
+        load_checkpoint(path)
+
+
 def test_state_hash_tracks_state():
     net = build_network(small_cfg(), (2, 10, 10))
     h0 = state_hash(net)
     assert h0 == state_hash(net)
     net.wf[0, 0] += 1e-9
     assert state_hash(net) != h0
+
+
+def _one_shot_text(net) -> str:
+    """Reference: the checkpoint text as one ``json.dumps`` of the whole payload."""
+    return json.dumps(network_payload(net), sort_keys=True, separators=(",", ":"))
+
+
+def _trained_tiny():
+    cfg = tiny_cfg()
+    return train(cfg, gen_synthetic(cfg.synthetic, 2)).net
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_network(moving_bars_acceptance_config(0), (2, 8, 8)),
+        lambda: _sheet_32x32()[0],
+        _trained_tiny,
+        lambda: build_network(dataclasses.replace(small_cfg(), train_data="données/ジェスチャ.cspk"), (2, 10, 10)),
+    ],
+    ids=["preset", "untrained 32x32", "trained", "non-ASCII train_data"],
+)
+def test_payload_text_equals_one_shot_dump(make):
+    """The payload text, written value by value with the config's cached
+    text, is the one-shot dump, and so is the digest ``state_hash`` takes."""
+    net = make()
+    ref = _one_shot_text(net)
+    assert _payload_text(net) == ref
+    assert state_hash(net) == hashlib.sha256(ref.encode()).hexdigest()
+    assert ref.isascii()
 
 
 def test_layer1_hash_ignores_decision_layer():
