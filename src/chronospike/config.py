@@ -39,6 +39,8 @@ class ConfigError(ValueError):
 #: ``interval_gain`` to the conv kernels whatever ``disabled`` holds.
 #: ``decentralize`` (no-decentralization) raises the activity gate's cap
 #: from ``dc_upper`` to the decision layer's size, which no group can reach.
+#: ``lateral`` (no-lateral) draws the lateral edges and drops them, so its
+#: generator, and the sample order of both phases, stay the full model's.
 VARIANTS: dict[str, dict[str, Any]] = {
     "full": {},
     "no-interval-homeostasis": {"disable": "homeo"},

@@ -28,6 +28,9 @@ CHECKPOINT_VERSION = 1
 PHASES = ("layer1", "layer2", "eval")
 #: Each delay array and its floor; delays stay in [floor, max(floor, d_max)].
 _DELAY_FLOORS = (("conv_d", 0.0), ("df", 0.0), ("lat_d", pl.LATERAL_DELAY_FLOOR))
+#: The dtype of each array kind in a network, and in a checkpoint.
+_BUILT_DTYPE = {"f": np.float64, "i": np.int64, "b": bool}
+_STORED_DTYPE = {"f": "<f8", "i": "<i8", "b": "|u1"}
 
 
 class StateError(ValueError):
@@ -71,82 +74,78 @@ def inhibitory_flags(n_classes: int, n_per_class: int, fraction: float) -> np.nd
 
 
 class Network:
-    """Parameters and training traces of the two-layer network."""
+    """Parameters and training traces of the two-layer network. The
+    constructor sets the geometry alone and draws nothing; networks are made
+    by :func:`build_network` or :func:`load_checkpoint`."""
 
     def __init__(self, cfg: RunConfig, input_shape: tuple[int, int, int]):
         self.cfg = cfg
         self.input_shape = input_shape  # (P, H, W)
         top = cfg.topology
-        p, h, w = input_shape
-        self.conv_hw = conv_output_shape((h, w), top.kernel, top.stride)
+        self.conv_hw = conv_output_shape(input_shape[1:], top.kernel, top.stride)
         self.pool_hw = pool_output_shape(self.conv_hw, top.pool)
         self.n_maps = top.n_maps
         self.n_pool = top.n_maps * self.pool_hw[0] * self.pool_hw[1]
+        self.n_classes = top.n_classes
         self.n_dec = top.n_classes * top.n_per_class
-
-        rng = np.random.default_rng(cfg.seed)
-        plast = cfg.plasticity
-        kh, kw = top.kernel
-        lo, hi = top.w_conv_init
-        self.conv_w = rng.uniform(lo, hi, size=(top.n_maps, p, kh, kw))
-        self.conv_d = rng.uniform(0.0, plast.d_max, size=(top.n_maps, p, kh, kw))
-        self.conv_theta = np.full(top.n_maps, top.conv_theta)
-        self.conv_act = np.zeros((top.n_maps,) + self.conv_hw)
-        self.conv_frozen = np.zeros(top.n_maps, dtype=bool)
-        self.conv_freeze_ema = np.zeros(top.n_maps)
-        self.conv_freeze_n = np.zeros(top.n_maps, dtype=np.int64)
-
-        lo, hi = top.w_forward_init
-        self.wf = rng.uniform(lo, hi, size=(self.n_dec, self.n_pool))
-        self.df = rng.uniform(0.0, plast.d_max, size=(self.n_dec, self.n_pool))
-
-        self.is_inh = inhibitory_flags(top.n_classes, top.n_per_class, top.inh_fraction)
-        self.class_of = np.repeat(np.arange(top.n_classes), top.n_per_class)
-
-        if cfg.is_disabled("lateral") or top.p_lat == 0.0:
-            self.lat_src = np.empty(0, np.int64)
-            self.lat_tgt = np.empty(0, np.int64)
-            self.lat_w = np.empty(0)
-            self.lat_d = np.empty(0)
-        else:
-            mask = rng.random((self.n_dec, self.n_dec)) < top.p_lat
-            np.fill_diagonal(mask, False)
-            src, tgt = np.nonzero(mask)
-            self.lat_src = src.astype(np.int64)
-            self.lat_tgt = tgt.astype(np.int64)
-            lo, hi = top.w_lateral_init
-            mag = rng.uniform(lo, hi, size=src.size)
-            self.lat_w = np.where(self.is_inh[src], -mag, mag)
-            floor = pl.LATERAL_DELAY_FLOOR
-            self.lat_d = rng.uniform(floor, max(floor, plast.d_max), size=src.size)
-
-        if cfg.delay_mode == "fixed":
-            for name, floor in _DELAY_FLOORS:
-                d = getattr(self, name)
-                d.fill(float(cfg.fixed_delay_value))
-                np.clip(d, floor, max(floor, plast.d_max), out=d)
-
-        self.theta = np.full(self.n_dec, top.decision_theta)
-        self.act_short = np.zeros(self.n_dec)
-        self.act_long = np.zeros(self.n_dec)
-        self.frozen = np.zeros(self.n_dec, dtype=bool)
-        self.freeze_ema = np.zeros(self.n_dec)
-        self.freeze_n = np.zeros(self.n_dec, dtype=np.int64)
-
         # the recent verdicts of phase 2, for regulation.decision_gains
         self.decision_window: deque[int] = deque(maxlen=cfg.regulation.decision_window_per_class * top.n_classes)
-        self.rng = rng
+        self.rng = np.random.default_rng(cfg.seed)
         self.phase = "layer1"
 
-    # -- derived views ----------------------------------------------------
 
-    @property
-    def n_classes(self) -> int:
-        return self.cfg.topology.n_classes
+def _array_specs(net: Network, n_edges: int) -> dict[str, tuple[str, tuple[int, ...]]]:
+    """Each array a network stores, as its dtype kind and shape for
+    ``n_edges`` lateral edges, without allocating: :func:`build_network`
+    makes the arrays from it, and :func:`load_checkpoint` checks them."""
+    kernel = (net.n_maps, net.input_shape[0]) + net.cfg.topology.kernel
+    maps, dec, edges, dense = (net.n_maps,), (net.n_dec,), (n_edges,), (net.n_dec, net.n_pool)
+    return {
+        "conv_w": ("f", kernel), "conv_d": ("f", kernel), "conv_theta": ("f", maps),
+        "conv_act": ("f", maps + net.conv_hw), "conv_freeze_ema": ("f", maps),
+        "wf": ("f", dense), "df": ("f", dense), "lat_w": ("f", edges), "lat_d": ("f", edges),
+        "theta": ("f", dec), "act_short": ("f", dec), "act_long": ("f", dec), "freeze_ema": ("f", dec),
+        "conv_freeze_n": ("i", maps), "lat_src": ("i", edges), "lat_tgt": ("i", edges),
+        "class_of": ("i", dec), "freeze_n": ("i", dec),
+        "conv_frozen": ("b", maps), "is_inh": ("b", dec), "frozen": ("b", dec),
+    }
 
 
 def build_network(cfg: RunConfig, input_shape: tuple[int, int, int]) -> Network:
-    return Network(cfg, input_shape)
+    """A new network for ``cfg`` on inputs of ``input_shape``, from the one
+    function that draws: the conv kernels, the decision afferents, then the
+    lateral block whenever ``p_lat > 0``, which ``lateral`` disabled drops,
+    so every variant leaves the generator where the full model does."""
+    net = Network(cfg, input_shape)
+    top, plast, rng = cfg.topology, cfg.plasticity, net.rng
+    size = {name: spec[1] for name, spec in _array_specs(net, 0).items()}
+    drawn = {
+        "conv_w": rng.uniform(*top.w_conv_init, size=size["conv_w"]),
+        "conv_d": rng.uniform(0.0, plast.d_max, size=size["conv_d"]),
+        "wf": rng.uniform(*top.w_forward_init, size=size["wf"]),
+        "df": rng.uniform(0.0, plast.d_max, size=size["df"]),
+        "is_inh": inhibitory_flags(top.n_classes, top.n_per_class, top.inh_fraction),
+        "class_of": np.repeat(np.arange(top.n_classes), top.n_per_class),
+    }
+    src = tgt = np.empty(0, np.int64)
+    lat_w = lat_d = np.empty(0)
+    if top.p_lat > 0.0:
+        mask = rng.random((net.n_dec, net.n_dec)) < top.p_lat
+        np.fill_diagonal(mask, False)
+        src, tgt = np.nonzero(mask)
+        mag = rng.uniform(*top.w_lateral_init, size=src.size)
+        lat_w = np.where(drawn["is_inh"][src], -mag, mag)
+        floor = pl.LATERAL_DELAY_FLOOR
+        lat_d = rng.uniform(floor, max(floor, plast.d_max), size=src.size)
+    n = 0 if cfg.is_disabled("lateral") else src.size
+    drawn.update(lat_src=src[:n].astype(np.int64), lat_tgt=tgt[:n].astype(np.int64), lat_w=lat_w[:n], lat_d=lat_d[:n])
+    if cfg.delay_mode == "fixed":
+        for name, floor in _DELAY_FLOORS:
+            drawn[name][...] = np.clip(float(cfg.fixed_delay_value), floor, max(floor, plast.d_max))
+    start = {"conv_theta": top.conv_theta, "theta": top.decision_theta}
+    for name, (kind, shape) in _array_specs(net, n).items():
+        setattr(net, name, drawn[name] if name in drawn else np.full(shape, start.get(name, 0), _BUILT_DTYPE[kind]))
+    return net
 
 
 def conv_forward_currents(net: Network, frames: np.ndarray) -> np.ndarray:
@@ -201,15 +200,6 @@ def pool_earliest(first_spike: np.ndarray, pool: tuple[int, int]) -> np.ndarray:
 
 # -- checkpoints ----------------------------------------------------------
 
-#: The network arrays a checkpoint stores, each as the dtype of its kind.
-_ARRAY_FIELDS = (
-    "conv_w", "conv_d", "conv_theta", "conv_act", "conv_freeze_ema",
-    "wf", "df", "lat_w", "lat_d", "theta", "act_short", "act_long", "freeze_ema",
-    "conv_freeze_n", "lat_src", "lat_tgt", "class_of", "freeze_n",
-    "conv_frozen", "is_inh", "frozen",
-)
-_STORED_DTYPE = {"f": "<f8", "i": "<i8", "b": "|u1"}
-
 
 def _encode_array(a: np.ndarray) -> dict:
     dtype = _STORED_DTYPE[a.dtype.kind]
@@ -229,7 +219,7 @@ def _decode_array(spec: dict) -> np.ndarray:
 
 
 def network_payload(net: Network) -> dict:
-    arrays = {name: _encode_array(getattr(net, name)) for name in _ARRAY_FIELDS}
+    arrays = {name: _encode_array(getattr(net, name)) for name in _array_specs(net, net.lat_src.size)}
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -284,17 +274,20 @@ def save_checkpoint(path: str | Path, net: Network) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Network:
-    """The network a checkpoint file holds.
+    """The network a checkpoint file holds, assigned to the geometry-only
+    :class:`Network` of its config: it draws nothing, and allocates no array
+    whose size the config gives.
 
     Raises :class:`StateError` unless the file holds every field, its
     ``config_hash`` digests its stored config (as written, before retired
-    fields are dropped), ``phase`` is known, every array has the shape and
-    dtype the config implies, float arrays are finite, bool arrays hold
-    bytes 0 and 1 only, delays lie in [floor, max(floor, d_max)], edge,
-    class and decision-window entries index existing neurons and classes,
-    and the decision window is no longer than the config keeps. A stored config that this code rejects,
-    or that builds no network on ``input_shape``, is a :class:`StateError`
-    too."""
+    fields are dropped), ``phase`` is known, every array has the dtype and
+    shape of :func:`_array_specs` (the ``lat_*`` arrays the length of
+    ``lat_src``, which is 0 when ``lateral`` is disabled or ``p_lat`` is 0),
+    float arrays are finite, bool arrays hold bytes 0 and 1 only, delays lie
+    in [floor, max(floor, d_max)], edge, class and decision-window entries
+    index existing neurons and classes, and the decision window is no longer
+    than the config keeps. A stored config that this code rejects, or that
+    builds no network on ``input_shape``, is a :class:`StateError` too."""
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -316,19 +309,22 @@ def load_checkpoint(path: str | Path) -> Network:
         raise StateError(f"{path}: input_shape {shape!r} is not three positive integers")
     try:
         net = Network(RunConfig.from_dict(payload["config"]), tuple(shape))
-    except ConfigError as e:
+    except (ConfigError, OverflowError) as e:  # OverflowError: a window too long for a deque
         raise StateError(f"{path}: stored config does not describe a network: {e}")
     arrays = payload["arrays"]
     if not isinstance(arrays, dict):
         raise StateError(f"{path}: arrays is not an object")
-    for name in _ARRAY_FIELDS:
-        if name not in arrays:
-            raise StateError(f"{path}: missing array {name}")
-        a = _decode_array(arrays[name])
-        kind = getattr(net, name).dtype.kind
-        dtype, want = _STORED_DTYPE[kind], getattr(net, name).shape
+    missing = [name for name in _array_specs(net, 0) if name not in arrays]
+    if missing:
+        raise StateError(f"{path}: missing array {', '.join(missing)}")
+    stored = {name: _decode_array(arrays[name]) for name in _array_specs(net, 0)}
+    n_edges = stored["lat_src"].size
+    if n_edges and (net.cfg.is_disabled("lateral") or net.cfg.topology.p_lat == 0.0):
+        raise StateError(f"{path}: array lat_src holds {n_edges} edges, but the config has no lateral wiring")
+    for name, (kind, want) in _array_specs(net, n_edges).items():
+        a, dtype = stored[name], _STORED_DTYPE[kind]
         if a.dtype != np.dtype(dtype) or a.shape != want:
-            raise StateError(f"{path}: array {name} is {a.dtype} {a.shape}, config implies {dtype} {want}")
+            raise StateError(f"{path}: array {name} is {a.dtype} {a.shape}, expected {dtype} {want}")
         if kind == "f" and not np.isfinite(a).all():
             raise StateError(f"{path}: array {name} holds a value that is not finite")
         if kind == "b" and a.size and a.max() > 1:

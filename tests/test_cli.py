@@ -449,6 +449,7 @@ HOSTILE_CHECKPOINTS = {
     "decision_window of 37 in a window of 30": lambda p: p.update(decision_window=[0] * 37),
     "config key with a newline": lambda p: _set_config(p, lambda c: c["topology"].update({"a\nb": 1})),
     "frozen byte 2": lambda p: _set_first(p, "frozen", 2),
+    "n_classes 10**30": lambda p: _set_config(p, lambda c: c["topology"].update(n_classes=10**30)),
 }
 
 
@@ -464,6 +465,23 @@ def test_eval_rejects_hostile_checkpoint(ws, tmp_path, capsys, probe):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("field, array", [("n_maps", "conv_w"), ("n_per_class", "wf")])
+def test_eval_rejects_hostile_checkpoint_size(ws, tmp_path, capsys, field, array):
+    """A stored config asking for 10**12 maps or neurons per class is refused
+    by the shape check of the first array it sizes, before anything of that
+    size is allocated, in one error line naming the array."""
+    payload = json.loads((ws["out1"] / "checkpoint_final.json").read_text())
+    _set_config(payload, lambda c: c["topology"].update({field: 10**12}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rc = main(["eval", "--checkpoint", str(bad), "--data", str(ws["test_ds"])])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and f"array {array} " in lines[0]
 
 
 def _leaf_paths(node, path=()):

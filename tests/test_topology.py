@@ -14,6 +14,7 @@ from hypothesis import strategies as hst
 from conftest import tiny_cfg
 
 from chronospike.config import (
+    VARIANTS,
     ConfigError,
     PlasticityParams,
     RunConfig,
@@ -23,7 +24,7 @@ from chronospike.config import (
     config_hash,
 )
 from chronospike.core import lif_step
-from chronospike.harness import train
+from chronospike.harness import train, train_layer1
 from chronospike.presets import moving_bars_acceptance_config
 from chronospike.synthetic import gen_synthetic, moving_bars_spec
 from chronospike.topology import (
@@ -172,6 +173,29 @@ def test_random_frozen_mode_keeps_draws():
     np.testing.assert_array_equal(a.conv_d, b.conv_d)
     np.testing.assert_array_equal(a.df, b.df)
     np.testing.assert_array_equal(a.lat_d, b.lat_d)
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_build_leaves_the_generator_where_the_full_model_does(variant):
+    """Every variant draws what the full model draws, whatever it keeps, so
+    the generator that orders both phases' samples starts in one state."""
+    for cfg, shape in ((small_cfg(), (2, 10, 10)), (tiny_cfg(), (2, 6, 6))):
+        full = build_network(cfg, shape)
+        net = build_network(apply_variant(cfg, variant), shape)
+        assert net.rng.bit_generator.state == full.rng.bit_generator.state
+
+
+def test_no_lateral_trains_the_full_models_layer1():
+    """Lateral wiring is a decision-layer mechanism: without it, layer 1
+    trains on the same sample order to the same kernels."""
+    cfg = tiny_cfg()
+    samples = gen_synthetic(cfg.synthetic, cfg.synthetic_train_per_class)
+    hashes = []
+    for c in (cfg, apply_variant(cfg, "no-lateral")):
+        net = build_network(c, samples[0].frames.shape[1:])
+        train_layer1(net, samples)
+        hashes.append(layer1_hash(net))
+    assert hashes[0] == hashes[1]
 
 
 # -- convolution currents -------------------------------------------------------
@@ -445,6 +469,54 @@ def test_checkpoint_rejects_wrong_format(tmp_path):
     bad.write_text(json.dumps(payload))
     with pytest.raises(StateError):
         load_checkpoint(bad)
+
+
+def test_load_checkpoint_draws_nothing(tmp_path, monkeypatch):
+    """The loader makes no network of its own: its generator only takes the
+    stored state, and no array is derived from the config."""
+
+    class NoDraws:
+        """A generator stand-in that holds a state and cannot draw."""
+
+        def __init__(self, seed):
+            self.bit_generator = np.random.PCG64(seed)
+
+    net = build_network(small_cfg(), (2, 10, 10))
+    _mutate_traces(net)
+    save_checkpoint(tmp_path / "a.json", net)
+    monkeypatch.setattr(np.random, "default_rng", NoDraws)
+    monkeypatch.setattr("chronospike.topology.inhibitory_flags", None)
+    save_checkpoint(tmp_path / "b.json", load_checkpoint(tmp_path / "a.json"))
+    assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["lat_tgt", "lat_w", "lat_d"])
+def test_checkpoint_rejects_lateral_arrays_of_unequal_length(tmp_path, name):
+    """Each lat_* array holds one entry per edge, as many as lat_src."""
+    net = build_network(small_cfg(), (2, 10, 10))
+    assert net.lat_src.size > 1
+    setattr(net, name, getattr(net, name)[:-1])
+    save_checkpoint(tmp_path / "ckpt.json", net)
+    with pytest.raises(StateError, match=rf"array {name} is \w+ \({net.lat_src.size - 1},\), expected"):
+        load_checkpoint(tmp_path / "ckpt.json")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda c: c.update(disabled=["lateral"]), lambda c: c["topology"].update(p_lat=0.0)],
+    ids=["lateral disabled", "p_lat 0"],
+)
+def test_checkpoint_rejects_edges_a_config_without_lateral_wiring_holds(tmp_path, edit):
+    net = build_network(small_cfg(), (2, 10, 10))
+    assert net.lat_src.size
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, net)
+    payload = json.loads(path.read_text())
+    edit(payload["config"])
+    payload["config_hash"] = hashlib.sha256(canonical_json(payload["config"]).encode()).hexdigest()
+    path.write_text(json.dumps(payload))
+    with pytest.raises(StateError, match=f"lat_src holds {net.lat_src.size} edges, but the config has no lateral"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_tampered_shape(tmp_path):
