@@ -43,6 +43,11 @@ value ``harness._window_last`` returned last in the call. Counting adds one
 Python call per visited bin to those stage times, and noting
 ``_window_last`` one more per call of it: once or twice per visited
 decision bin.
+
+After the rows, the script runs the Tier-1 suite once in a subprocess, with
+the ROADMAP's verify command plus ``--durations=10`` (:data:`TIER1`), and
+writes a ``tier1`` block: its wall time, the passed, skipped, failed and
+error counts, and the ten slowest test phases.
 """
 
 from __future__ import annotations
@@ -54,7 +59,9 @@ import hashlib
 import json
 import os
 import platform
+import re
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -92,6 +99,11 @@ REPEATS = 3
 CODEC_CALLS = 5
 #: The codec functions, each timed on the trained network of a repeat.
 CODEC = ("save_checkpoint", "load_checkpoint", "state_hash")
+#: The Tier-1 verify command, run from the checkout root with ``src`` first
+#: on ``PYTHONPATH``, listing its ten slowest test phases.
+TIER1 = ("python", "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10")
+#: The outcome counts of a Tier-1 run's summary line.
+TIER1_COUNTS = ("passed", "skipped", "failed", "errors")
 
 
 def preset_8x8():
@@ -260,6 +272,31 @@ def summarize(repeats: list[dict]) -> dict:
     }
 
 
+def parse_tier1(text: str) -> dict:
+    """The outcome counts and the slowest test phases of the output of
+    :data:`TIER1`: its last summary line (``N passed, M skipped in T s``)
+    and its ``--durations`` lines (``T s call tests/...::name``)."""
+    summary = re.findall(r"^=* ?(\d+ \w+(?:, \d+ \w+)*) in [\d.]+s", text, re.M)
+    counts = dict.fromkeys(TIER1_COUNTS, 0)
+    for n, outcome in re.findall(r"(\d+) (\w+)", summary[-1] if summary else ""):
+        outcome = "errors" if outcome == "error" else outcome
+        if outcome in counts:
+            counts[outcome] = int(n)
+    slowest = re.findall(r"^(\d+\.\d+)s (setup|call|teardown) +(.+?) *$", text, re.M)
+    return {**counts, "slowest": [{"s": float(t), "when": when, "test": test} for t, when, test in slowest]}
+
+
+def run_tier1() -> dict:
+    """Wall time, outcome counts and slowest test phases of one run of
+    :data:`TIER1` (``python`` is this interpreter)."""
+    paths = [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    t0 = time.perf_counter()
+    proc = subprocess.run((sys.executable,) + TIER1[1:], cwd=ROOT, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    return {"command": " ".join(TIER1), "wall_s": wall, "returncode": proc.returncode, **parse_tier1(proc.stdout)}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", required=True, help="the file is BENCH_<label>.json at the checkout root")
@@ -287,6 +324,8 @@ def main(argv=None) -> int:
                 flush=True,
             )
         out["rows"][name] = {"summary": summarize(repeats), "repeats": repeats}
+    out["tier1"] = run_tier1()
+    print(f"tier1: {out['tier1']['wall_s']:.1f} s, " + ", ".join(f"{out['tier1'][k]} {k}" for k in TIER1_COUNTS))
     out["host"]["loadavg_after"] = list(os.getloadavg())
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")

@@ -18,9 +18,11 @@ field holds a separator or a quote.
 
 Exit codes: 0 success, 1 an internal fault (a traceback) or an ``ablate``
 variant raised (the other variants and the table are still written), 2
-input problem (missing or malformed files, bad config keys or values, empty
-datasets, a dataset of another frame shape than the checkpoint's, a sample
-label outside the config's classes), 3 state
+input problem (missing or malformed files, bad config keys or values, or a
+sample set that the one check, :func:`~chronospike.harness.check_samples`,
+refuses: an empty set, frames of another (P, H, W) than the network takes,
+which for ``eval`` is the checkpoint's and for ``train`` and ``ablate`` the
+training set's, test set included, or a label outside the classes), 3 state
 mismatch (checkpoint format, version, stored config or config hash
 conflicts), 4 training finished without delay convergence (all results are
 still written). Input faults are the named errors of ``_INPUT_ERRORS``:
@@ -66,7 +68,7 @@ from .events import (
     save_dataset,
     split_dataset,
 )
-from .harness import TrainResult, evaluate, frames_sweep, train
+from .harness import TrainResult, check_samples, evaluate, frames_sweep, train
 from .synthetic import InvalidSpec, gen_synthetic, oracle_accuracy
 from .topology import StateError, load_checkpoint, save_checkpoint, state_hash
 
@@ -125,28 +127,24 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _labelled(samples, n_classes: int, source):
-    """``samples``, once every label is a class index below ``n_classes``;
-    otherwise a :class:`ConfigError` naming ``source`` and the first bad label."""
-    for i, s in enumerate(samples):
-        if not 0 <= s.label < n_classes:
-            raise ConfigError(f"{source}: sample {i} has label {s.label}, not one of the classes 0..{n_classes - 1}")
-    return samples
-
-
 def _load_data(cfg: RunConfig):
-    """Training and test samples from whichever source the config names."""
+    """Training and test samples from whichever source the config names,
+    each set checked by :func:`check_samples`: the test set against the
+    training set's frame shape, before any training starts."""
     n = cfg.topology.n_classes
     if cfg.synthetic is not None:
+        train_src = test_src = "synthetic spec"
         train_s = gen_synthetic(cfg.synthetic, cfg.synthetic_train_per_class, seed_offset=0)
         test_s = gen_synthetic(cfg.synthetic, cfg.synthetic_test_per_class, seed_offset=1)
-        return _labelled(train_s, n, "synthetic spec"), _labelled(test_s, n, "synthetic spec")
-    if cfg.train_data is None:
+    elif cfg.train_data is None:
         raise ConfigError("config names neither a synthetic spec nor train_data")
-    train_s = _labelled(load_dataset(cfg.train_data)[0], n, cfg.train_data)
-    test_s = None
-    if cfg.test_data is not None:
-        test_s = _labelled(load_dataset(cfg.test_data)[0], n, cfg.test_data)
+    else:
+        train_src, test_src = cfg.train_data, cfg.test_data
+        train_s = load_dataset(train_src)[0]
+        test_s = None if test_src is None else load_dataset(test_src)[0]
+    check_samples(train_s, None, n, train_src)
+    if test_s is not None:
+        check_samples(test_s, train_s[0].frames.shape[1:], n, test_src)
     return train_s, test_s
 
 
@@ -295,8 +293,6 @@ def cmd_train(args) -> int:
     cfg = _with_cli_overrides(load_config(args.config), args)
     out = Path(args.out) if args.out else Path(cfg.out_dir)
     train_samples, test_samples = _load_data(cfg)
-    if not train_samples:
-        return _fail("training set is empty", EXIT_INPUT)
     summary, converged = _train_run(cfg, train_samples, test_samples, out)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK if converged else EXIT_NO_CONVERGENCE
@@ -335,15 +331,7 @@ def cmd_eval(args) -> int:
     if not Path(data_path).exists():
         return _fail(f"dataset not found: {data_path}", EXIT_INPUT)
     samples, _meta = load_dataset(data_path)
-    if not samples:
-        return _fail(f"evaluation set is empty: {data_path}", EXIT_INPUT)
-    shape = samples[0].frames.shape[1:]
-    if shape != net.input_shape:
-        return _fail(
-            f"{data_path}: frames are (P, H, W) = {shape}, but the checkpoint's network takes {net.input_shape}",
-            EXIT_INPUT,
-        )
-    _labelled(samples, net.n_classes, data_path)
+    check_samples(samples, net.input_shape, net.n_classes, data_path)
 
     limits = _parse_limits(args.limit_frames)
     out_dir = Path(args.out) if args.out else None
@@ -403,13 +391,11 @@ def cmd_ablate(args) -> int:
             f"(choices: {', '.join(sorted(VARIANTS))})",
             EXIT_INPUT,
         )
+    train_samples, test_samples = _load_data(base)
+    if test_samples is None:
+        return _fail("ablation needs a test set (synthetic config or test_data)", EXIT_INPUT)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train_samples, test_samples = _load_data(base)
-    if not train_samples:
-        return _fail("training set is empty", EXIT_INPUT)
-    if not test_samples:
-        return _fail("ablation needs a test set (synthetic config or test_data)", EXIT_INPUT)
 
     rows = []
     for name in names:

@@ -133,9 +133,9 @@ class TopologyParams:
     inh_fraction: float = bounded(0.2, min=0, max=1)
     conv_theta: float = 1.0
     decision_theta: float = 1.0
-    w_conv_init: tuple[float, float] = (0.3, 0.7)
-    w_forward_init: tuple[float, float] = (0.2, 0.5)
-    w_lateral_init: tuple[float, float] = (0.1, 0.4)
+    w_conv_init: tuple[float, float] = bounded((0.3, 0.7), min=0)
+    w_forward_init: tuple[float, float] = bounded((0.2, 0.5), min=0)
+    w_lateral_init: tuple[float, float] = bounded((0.1, 0.4), min=0)
 
 
 @_record("plasticity")
@@ -160,7 +160,7 @@ class PlasticityParams:
     sigma_plus: float = bounded(5.0, positive=True)
     sigma_minus: float = bounded(5.0, positive=True)
     epsilon: float = 1.0
-    w_max: float = 1.0
+    w_max: float = bounded(1.0, min=0)
     w_inh_min: float = -1.0
     d_max: float = bounded(20.0, min=0)
 

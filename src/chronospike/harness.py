@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import plasticity as pl
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .core import DelayBuffer, lif_integrate, lif_step
 from .events import FrameSequence
 from .regulation import DecentralizeGate, FreezeTracker, decision_gains, ema_update, interval_gain, threshold_step
@@ -382,7 +382,9 @@ def _step(w, d, sel, dw, dd, w_lo, w_hi, floor, live, par, delay_on: bool) -> No
 
 def _apply_decision_plasticity(net: Network, r: float, deltas, delay_on: bool) -> None:
     """Apply the unit-reward pair sums of one presentation, scaled by ``r``,
-    to every decision-layer synapse through :func:`_step`."""
+    to every decision-layer synapse through :func:`_step`. At ``r == 0`` it
+    writes nothing: a step of zero would still clip a weight outside its
+    domain, such as a drawn inhibitory weight under ``inh_rules_shared``."""
     if r == 0.0:
         return
     dwf, ddf, dlw, dld = deltas
@@ -535,8 +537,7 @@ def train_layer2(net: Network, samples: list[FrameSequence], pooled_cache, metri
         if verdict is not None and not cfg.is_disabled("decision-homeo"):
             net.decision_window.append(verdict)
             k_class = decision_gains(net.decision_window, net.n_classes)
-            if np.any(k_class != 0.0):
-                _apply_neuron_gain(net, k_class[net.class_of], delay_on)
+            _apply_neuron_gain(net, k_class[net.class_of], delay_on)
         if not cfg.is_disabled("homeo"):
             _apply_neuron_gain(net, interval_gain(net.act_short, reg), delay_on)
         if not cfg.is_disabled("threshold"):
@@ -557,18 +558,33 @@ def train_layer2(net: Network, samples: list[FrameSequence], pooled_cache, metri
     return res
 
 
+def check_samples(samples, shape, n_classes: int, source) -> None:
+    """Raise a :class:`ConfigError` naming ``source`` unless ``samples`` holds
+    a sample, every sample's frames are (P, H, W) = ``shape`` (``None``: the
+    first sample's), and every label is a class index below ``n_classes``:
+    the one check of whether samples fit a network."""
+    if not samples:
+        raise ConfigError(f"{source}: no samples")
+    shape = tuple(samples[0].frames.shape[1:] if shape is None else shape)
+    for i, s in enumerate(samples):
+        got = s.frames.shape[1:]
+        if got != shape:
+            raise ConfigError(f"{source}: sample {i} has frames (P, H, W) = {got}, but the network takes {shape}")
+        if not 0 <= s.label < n_classes:
+            raise ConfigError(f"{source}: sample {i} has label {s.label}, not one of the classes 0..{n_classes - 1}")
+
+
 def train(cfg: RunConfig, samples: list[FrameSequence], metrics=None, after_layer1=None) -> TrainResult:
     """Build the network of ``cfg`` and train both phases on ``samples``.
 
     ``metrics``, if given, is called with one row per presentation of
     either phase. ``after_layer1``, if given, is called once with the
     network between the phases: layer 1 is trained and phase 2 has not
-    started.
+    started. Refuses, as :func:`check_samples` does, an empty set, samples
+    of more than one frame shape and labels outside the config's classes.
     """
-    if not samples:
-        raise ValueError("empty training set")
-    shape = samples[0].frames.shape[1:]
-    net = build_network(cfg, shape)
+    check_samples(samples, None, cfg.topology.n_classes, "training set")
+    net = build_network(cfg, samples[0].frames.shape[1:])
     r1 = train_layer1(net, samples, metrics=metrics)
     if after_layer1 is not None:
         after_layer1(net)
@@ -602,10 +618,11 @@ def evaluate(
     The per-class activity gate stays on (it is part of inference; disabling
     decentralization raises its cap to the layer size); plasticity,
     regulation, traces, and the RNG are all left alone, so the state hash
-    before and after is identical.
+    before and after is identical. Refuses, as :func:`check_samples` does,
+    an empty set, frames of another shape than ``net.input_shape`` and
+    labels outside the network's classes.
     """
-    if not samples:
-        raise ValueError("empty evaluation set")
+    check_samples(samples, net.input_shape, net.n_classes, "evaluation set")
     c = net.n_classes
     confusion = np.zeros((c, c), dtype=np.int64)
     abstained = np.zeros(c, dtype=np.int64)

@@ -58,19 +58,21 @@ def class_cell_times(spec: SyntheticSpec, label: int) -> dict[tuple[int, int, in
     return times
 
 
-def class_span(spec: SyntheticSpec, label: int) -> int:
-    times = class_cell_times(spec, label)
-    return (max(times.values()) + 1) if times else 0
+def class_span(times: dict) -> int:
+    """Bins a class pattern of cell times ``times`` spans: 0 with no cells."""
+    return max(times.values(), default=-1) + 1
 
 
-def validate_spec(spec: SyntheticSpec) -> None:
-    """Raise :class:`InvalidSpec` unless ``spec`` lists one DAG per class,
-    of cells on the grid, whose lags and spans fit ``pattern_length``."""
+def validate_spec(spec: SyntheticSpec) -> list[dict[tuple[int, int, int], int]]:
+    """Each class's cell times (:func:`class_cell_times`), once ``spec`` lists
+    one DAG per class, of cells on the grid, whose lags and spans fit
+    ``pattern_length``; otherwise an :class:`InvalidSpec`."""
     if len(spec.embedded_delays) != spec.n_classes:
         raise InvalidSpec(
             f"embedded_delays lists {len(spec.embedded_delays)} classes, expected {spec.n_classes}"
         )
     h, w = spec.grid
+    times = []
     for k in range(spec.n_classes):
         for src, tgt, lag in spec.embedded_delays[k]:
             if not (0 <= lag <= spec.pattern_length):
@@ -78,16 +80,16 @@ def validate_spec(spec: SyntheticSpec) -> None:
             for p, y, x in (src, tgt):
                 if not (0 <= p < 2 and 0 <= y < h and 0 <= x < w):
                     raise InvalidSpec(f"class {k}: cell ({p}, {y}, {x}) outside grid")
-        if class_span(spec, k) > spec.pattern_length:
+        times.append(class_cell_times(spec, k))
+        if class_span(times[k]) > spec.pattern_length:
             raise InvalidSpec(f"class {k}: pattern span exceeds pattern_length")
+    return times
 
 
-def class_template(spec: SyntheticSpec, label: int) -> np.ndarray:
-    """Noiseless class pattern with roots at time 0, [span, 2, H, W]."""
-    times = class_cell_times(spec, label)
-    span = class_span(spec, label)
-    h, w = spec.grid
-    tpl = np.zeros((max(span, 1), 2, h, w), dtype=np.uint8)
+def class_template(times: dict, grid: tuple[int, int]) -> np.ndarray:
+    """Noiseless class pattern of cell times ``times`` on ``grid``, roots at
+    time 0, [max(span, 1), 2, H, W]."""
+    tpl = np.zeros((max(class_span(times), 1), 2, *grid), dtype=np.uint8)
     for (p, y, x), t in times.items():
         tpl[t, p, y, x] = 1
     return tpl
@@ -100,7 +102,7 @@ def gen_synthetic(spec: SyntheticSpec, n_per_class, seed_offset: int = 0) -> lis
     class pattern at a uniformly drawn onset (0 when there is no slack) and
     adds Bernoulli noise at ``spec.noise_rate`` per cell per bin.
     """
-    validate_spec(spec)
+    class_times = validate_spec(spec)
     if np.isscalar(n_per_class):
         counts = [int(n_per_class)] * spec.n_classes
     else:
@@ -108,16 +110,13 @@ def gen_synthetic(spec: SyntheticSpec, n_per_class, seed_offset: int = 0) -> lis
         if len(counts) != spec.n_classes:
             raise InvalidSpec("n_per_class must give one count per class")
     rng = np.random.default_rng(spec.seed + seed_offset)
-    h, w = spec.grid
-    templates = [class_cell_times(spec, k) for k in range(spec.n_classes)]
-    spans = [class_span(spec, k) for k in range(spec.n_classes)]
     samples: list[FrameSequence] = []
-    for k in range(spec.n_classes):
-        slack = spec.pattern_length - spans[k]
+    for k, times in enumerate(class_times):
+        slack = spec.pattern_length - class_span(times)
         for _ in range(counts[k]):
             onset = int(rng.integers(0, slack + 1)) if slack > 0 else 0
-            frames = np.zeros((spec.pattern_length, 2, h, w), dtype=np.uint8)
-            for (p, y, x), t in templates[k].items():
+            frames = np.zeros((spec.pattern_length, 2, *spec.grid), dtype=np.uint8)
+            for (p, y, x), t in times.items():
                 frames[onset + t, p, y, x] = 1
             if spec.noise_rate > 0.0:
                 frames |= (rng.random(frames.shape) < spec.noise_rate).astype(np.uint8)
@@ -127,7 +126,7 @@ def gen_synthetic(spec: SyntheticSpec, n_per_class, seed_offset: int = 0) -> lis
 
 def template_classify(spec: SyntheticSpec, samples: list[FrameSequence]) -> np.ndarray:
     """Predict labels by best shifted-correlation against class templates."""
-    templates = [class_template(spec, k) for k in range(spec.n_classes)]
+    templates = [class_template(times, spec.grid) for times in validate_spec(spec)]
     sizes = [max(int(t.sum()), 1) for t in templates]
     preds = np.empty(len(samples), dtype=np.int64)
     for i, s in enumerate(samples):
@@ -154,6 +153,18 @@ def oracle_accuracy(spec: SyntheticSpec, samples: list[FrameSequence]) -> float:
     return float((preds == labels).mean()) if len(samples) else 0.0
 
 
+def _sweep(lines, step_bins: int) -> tuple:
+    """Edges of a bar sweeping along each of ``lines``, lists of the (y, x)
+    cells in the order the bar passes them: each ON cell fires
+    ``step_bins`` after the one before it on its line, and each OFF cell,
+    listed line by line in grid order, one bin after its ON cell."""
+    edges = []
+    for line in lines:
+        edges += [((0, *a), (0, *b), step_bins) for a, b in zip(line, line[1:])]
+        edges += [((0, *c), (1, *c), 1) for c in sorted(line)]
+    return tuple(edges)
+
+
 def moving_bars_spec(
     grid: tuple[int, int] = (8, 8),
     pattern_length: int = 50,
@@ -169,36 +180,17 @@ def moving_bars_spec(
     share identical per-cell spike statistics in space.
     """
     h, w = grid
-    classes = []
-    # rightward sweep: column c fires step_bins after column c-1
-    edges = []
-    for y in range(h):
-        for c in range(w - 1):
-            edges.append(((0, y, c), (0, y, c + 1), step_bins))
-        for c in range(w):
-            edges.append(((0, y, c), (1, y, c), 1))
-    classes.append(tuple(edges))
-    # leftward sweep
-    edges = []
-    for y in range(h):
-        for c in range(w - 1, 0, -1):
-            edges.append(((0, y, c), (0, y, c - 1), step_bins))
-        for c in range(w):
-            edges.append(((0, y, c), (1, y, c), 1))
-    classes.append(tuple(edges))
-    # downward sweep
-    edges = []
-    for x in range(w):
-        for r in range(h - 1):
-            edges.append(((0, r, x), (0, r + 1, x), step_bins))
-        for r in range(h):
-            edges.append(((0, r, x), (1, r, x), 1))
-    classes.append(tuple(edges))
+    rows = [[(y, c) for c in range(w)] for y in range(h)]
+    classes = (
+        _sweep(rows, step_bins),  # rightward: column c fires step_bins after column c-1
+        _sweep([row[::-1] for row in rows], step_bins),  # leftward
+        _sweep([[(r, x) for r in range(h)] for x in range(w)], step_bins),  # downward
+    )
     spec = SyntheticSpec(
         n_classes=3,
         pattern_length=pattern_length,
         grid=grid,
-        embedded_delays=tuple(classes),
+        embedded_delays=classes,
         noise_rate=noise_rate,
         seed=seed,
     )

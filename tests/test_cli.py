@@ -893,6 +893,19 @@ def _eval_on_labels(tmp_path, ws, label):
     return ["eval", "--checkpoint", str(ws["out1"] / "checkpoint_final.json"), "--data", str(data)]
 
 
+def _on_test_set(tmp_path, ws, command, shape):
+    """``command`` on a config whose test set, other.cspk, has frames of (P, H, W) ``shape``."""
+    frames = np.zeros((5,) + shape, dtype=np.uint8)
+    frames[1, 0, 1, 1] = 1
+    save_dataset(tmp_path / "other.cspk", [FrameSequence(frames, bin_width_ms=1.0, label=0)])
+    cfg = json.loads(ws["cfg_path"].read_text())
+    cfg["test_data"] = str(tmp_path / "other.cspk")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "t")]
+    return argv + ["--variants", "full"] if command == "ablate" else argv
+
+
 # name: (argv built from tmp_path and ws, a text the error line must hold)
 INPUT_PROBES = {
     "ingest --fps 0": (lambda tmp, ws: _recording(tmp) + ["--fps", "0"], "fps"),
@@ -945,6 +958,15 @@ INPUT_PROBES = {
     "ablate label 7": (lambda tmp, ws: _on_labels(tmp, ws, "ablate", 7), "labels.cspk: sample 1 has label 7"),
     "eval label 7": (lambda tmp, ws: _eval_on_labels(tmp, ws, 7), "labels.cspk: sample 1 has label 7"),
     "eval label -1": (lambda tmp, ws: _eval_on_labels(tmp, ws, -1), "labels.cspk: sample 1 has label -1"),
+    "train test set of another (H, W)": (
+        lambda tmp, ws: _on_test_set(tmp, ws, "train", (2, 10, 10)), "other.cspk: sample 0 has frames"
+    ),
+    "train test set of another P": (
+        lambda tmp, ws: _on_test_set(tmp, ws, "train", (1, 6, 6)), "other.cspk: sample 0 has frames"
+    ),
+    "ablate test set of another (H, W)": (
+        lambda tmp, ws: _on_test_set(tmp, ws, "ablate", (2, 10, 10)), "other.cspk: sample 0 has frames"
+    ),
     "3-class spec, 2 classes": (
         lambda tmp, ws: _config_with_spec(tmp, ws, lambda s: None) + ["--set", "topology.n_classes=2"],
         "synthetic spec: sample 12 has label 2",
@@ -990,6 +1012,7 @@ def test_input_faults_exit_2_naming_field_or_file(ws, tmp_path, capsys, probe):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0]
     assert not (tmp_path / "x.cspk").exists()
+    assert not (tmp_path / "t").exists()  # a refused train or ablate writes no --out directory
 
 
 def test_internal_value_error_is_not_an_input_error(ws, tmp_path, monkeypatch):

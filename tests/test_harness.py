@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import re
 import tracemalloc
 from unittest import mock
 
@@ -24,9 +25,10 @@ from test_plasticity import (
 
 from chronospike import gen_synthetic, harness, moving_bars_spec
 from chronospike import plasticity as pl
-from chronospike.config import HarnessParams, LIFParams, PlasticityParams, RegulationParams
+from chronospike.config import ConfigError, HarnessParams, LIFParams, PlasticityParams, RegulationParams
 from chronospike import core
 from chronospike.core import DelayBuffer, DelayOutOfRange, lif_integrate, lif_step
+from chronospike.events import FrameSequence
 from chronospike.harness import (
     _apply_decision_plasticity,
     _apply_neuron_gain,
@@ -573,6 +575,27 @@ def test_evaluate_rejects_empty():
         evaluate(net, [])
 
 
+def test_evaluate_refuses_the_default_label():
+    """A sample left at ``FrameSequence``'s default label of -1 is refused,
+    not counted into the last class's row."""
+    cfg = tiny_cfg()
+    net = build_network(cfg, (2, 6, 6))
+    samples = samples_for(cfg)[:3]
+    samples.append(FrameSequence(samples[0].frames, bin_width_ms=1.0))
+    text = "evaluation set: sample 3 has label -1, not one of the classes 0..2"
+    with pytest.raises(ConfigError, match=re.escape(text)):
+        evaluate(net, samples)
+
+
+def test_evaluate_refuses_frames_of_another_shape():
+    cfg = tiny_cfg()
+    net = build_network(cfg, (2, 6, 6))
+    frames = np.zeros((24, 2, 8, 8), dtype=np.uint8)
+    text = "evaluation set: sample 0 has frames (P, H, W) = (2, 8, 8), but the network takes (2, 6, 6)"
+    with pytest.raises(ConfigError, match=re.escape(text)):
+        evaluate(net, [FrameSequence(frames, bin_width_ms=1.0, label=0)])
+
+
 def test_limit_frames_truncates_input():
     """``limit_frames=k`` scores, and dumps the spikes of, exactly the
     samples whose frames are cut to their first k bins."""
@@ -871,6 +894,14 @@ def test_phases_converge_once_every_unit_freezes():
 def test_train_rejects_empty_set():
     with pytest.raises(ValueError):
         train(tiny_cfg(), [])
+
+
+def test_train_refuses_a_set_of_mixed_frame_shapes():
+    cfg = tiny_cfg()
+    samples = samples_for(cfg)[:2]
+    samples.append(FrameSequence(samples[0].frames[:, :1], bin_width_ms=1.0, label=0))
+    with pytest.raises(ConfigError, match=re.escape("training set: sample 2 has frames (P, H, W) = (1, 6, 6)")):
+        train(cfg, samples)
 
 
 def test_frames_sweep_returns_pairs():

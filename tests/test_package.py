@@ -56,16 +56,21 @@ def test_benchmark_trace_targets_exist(monkeypatch):
     assert [getattr(ns, attr, None) for ns, attr, _name, _hook in tracing.TARGETS] == originals
 
 
+def _stage_times(monkeypatch):
+    spec = importlib.util.spec_from_file_location("stage_times", ROOT / "scripts" / "stage_times.py")
+    stage_times = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, stage_times)
+    spec.loader.exec_module(stage_times)
+    return stage_times
+
+
 def test_stage_time_targets_exist(monkeypatch):
     """Every ``harness`` name ``scripts/stage_times.py`` wraps or reads
     exists: its stages, phases, the per-bin LIF functions it counts under
     the two simulation stages, and the function that gives a decision
     window's last bin. A refactor that renames one fails here, not after a
     run of the script. Entering and leaving the clock puts every name back."""
-    spec = importlib.util.spec_from_file_location("stage_times", ROOT / "scripts" / "stage_times.py")
-    stage_times = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, stage_times)
-    spec.loader.exec_module(stage_times)
+    stage_times = _stage_times(monkeypatch)
     harness = stage_times.harness
     bins = stage_times.BIN_CALLS
     names = stage_times.STAGES + stage_times.PHASES + tuple(bins.values()) + ("_window_last",)
@@ -75,3 +80,34 @@ def test_stage_time_targets_exist(monkeypatch):
     with stage_times.StageClock():
         assert all(getattr(harness, name) is not fn for name, fn in originals.items())
     assert {name: getattr(harness, name) for name in names} == originals
+
+
+#: The tail of a Tier-1 run's output, as ``-q --durations=10`` prints it.
+TIER1_TAIL = """\
+........................................................................ [ 88%]
+................................................                         [100%]
+============================= slowest 10 durations =============================
+23.00s call     tests/test_acceptance.py::test_criterion_07_synthetic_task_accuracy
+2.06s call     tests/test_harness.py::test_decision_sim_matches_loop_reference
+0.30s setup    tests/test_cli.py::test_eval_rejects_hostile_checkpoint[config key with a newline]
+407 passed, 1 skipped in 86.26s (0:01:26)
+"""
+
+
+def test_tier1_block_reads_a_saved_pytest_summary(monkeypatch):
+    parse = _stage_times(monkeypatch).parse_tier1
+    block = parse(TIER1_TAIL)
+    assert {k: block[k] for k in ("passed", "skipped", "failed", "errors")} == {
+        "passed": 407, "skipped": 1, "failed": 0, "errors": 0
+    }
+    assert block["slowest"] == [
+        {"s": 23.0, "when": "call", "test": "tests/test_acceptance.py::test_criterion_07_synthetic_task_accuracy"},
+        {"s": 2.06, "when": "call", "test": "tests/test_harness.py::test_decision_sim_matches_loop_reference"},
+        {
+            "s": 0.3,
+            "when": "setup",
+            "test": "tests/test_cli.py::test_eval_rejects_hostile_checkpoint[config key with a newline]",
+        },
+    ]
+    failed = parse("=========== 2 failed, 405 passed, 1 skipped, 1 error in 90.10s (0:01:30) ===========\n")
+    assert (failed["failed"], failed["passed"], failed["skipped"], failed["errors"]) == (2, 405, 1, 1)

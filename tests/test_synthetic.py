@@ -1,9 +1,11 @@
 """Synthetic pattern generator and its template-matching oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from chronospike.config import SyntheticSpec
+from chronospike.config import SyntheticSpec, canonical_json, to_dict
 from chronospike.synthetic import (
     InvalidSpec,
     class_cell_times,
@@ -36,11 +38,11 @@ def test_cell_times_propagate_lags():
     assert times[(0, 0, 0)] == 0
     assert times[(0, 0, 1)] == 2
     assert times[(0, 0, 2)] == 4
-    assert class_span(chain_spec(), 0) == 5
+    assert class_span(times) == 5
 
 
 def test_template_places_roots_at_zero():
-    tpl = class_template(chain_spec(), 1)
+    tpl = class_template(class_cell_times(chain_spec(), 1), (4, 4))
     assert tpl.shape == (7, 2, 4, 4)
     assert tpl[0, 0, 0, 0] == 1
     assert tpl[5, 0, 0, 1] == 1
@@ -81,7 +83,7 @@ def test_noiseless_samples_are_shifted_templates():
     samples = gen_synthetic(spec, 6)
     assert len(samples) == 12
     for s in samples:
-        tpl = class_template(spec, s.label)
+        tpl = class_template(class_cell_times(spec, s.label), spec.grid)
         span = tpl.shape[0]
         total = s.frames.sum()
         assert total == tpl.sum()
@@ -143,7 +145,29 @@ def test_moving_bars_structure():
     assert down[(0, 7, 4)] == 21
     # identical spatial statistics: every class touches every cell once
     for k in range(3):
-        assert class_template(spec, k).sum() == 2 * 64
+        assert class_template(class_cell_times(spec, k), spec.grid).sum() == 2 * 64
+
+
+def test_validate_spec_returns_each_class_cell_times():
+    spec = chain_spec()
+    assert validate_spec(spec) == [class_cell_times(spec, k) for k in range(spec.n_classes)]
+
+
+@pytest.mark.parametrize(
+    "kwargs, digest",
+    [
+        ({}, "dc2eedeb78994588038a9958baeefc0b16c2df15d7ee8ce2c00d695461f2c2e1"),
+        (
+            {"grid": (5, 7), "pattern_length": 40, "step_bins": 2},
+            "254c479835e121df95293a82c548ef424a6d9ea55ccbd023af072263afefaad9",
+        ),
+    ],
+)
+def test_moving_bars_spec_digest_is_pinned(kwargs, digest):
+    """The canonical JSON of a moving-bars spec, edge order included, is the
+    one every config hash of a moving-bars run is built on."""
+    text = canonical_json(to_dict(moving_bars_spec(**kwargs)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_classes_differ_only_in_timing():
@@ -167,7 +191,7 @@ def test_single_motif_is_one_chain():
     spec = single_motif_spec(length=5, lag=2)
     times = class_cell_times(spec, 0)
     assert len(times) == 5
-    assert class_span(spec, 0) == 9
+    assert class_span(times) == 9
     samples = gen_synthetic(spec, 3)
     assert all(s.label == 0 for s in samples)
     assert all(s.frames.sum() == 5 for s in samples)
