@@ -36,10 +36,13 @@ that file, and the first ``state_hash`` of the loaded network, the one that
 serializes its config. On the 32x32 row these cost more than evaluation.
 
 The two simulation stages also record the bins they visit per call,
-counted as their calls of the per-bin LIF function (``BIN_CALLS``), and
-the row records the share of ``_decision_sim`` calls that stopped early:
-that visited a bin and returned before the last bin of their window, the
-value ``harness._window_last`` returned last in the call. Counting adds one
+counted as their calls of the per-bin LIF function (``BIN_CALLS``). For
+``_conv_sim`` these are only the bins that ``lif_step`` steps after the
+sheet's first pass over the whole window, for the neurons that can fire
+again: a call in which no neuron can counts 0. The row records the share
+of ``_decision_sim`` calls that stopped early: that visited a bin and
+returned before the last bin of their window, the value
+``harness._window_last`` returned last in the call. Counting adds one
 Python call per visited bin to those stage times, and noting
 ``_window_last`` one more per call of it: once or twice per visited
 decision bin.
@@ -88,7 +91,8 @@ STAGES = (
     "_conv_pair_deltas", "_conv_sim", "conv_forward_currents", "pool_earliest", "_decision_sim",
     "_decision_pair_deltas", "_apply_decision_plasticity", "_apply_neuron_gain",
 )
-#: The per-bin LIF function each simulation stage calls once per bin it visits.
+#: The per-bin LIF function each simulation stage calls once per bin it steps
+#: (for ``_conv_sim``, the bins after its first pass).
 BIN_CALLS = {"_decision_sim": "lif_integrate", "_conv_sim": "lif_step"}
 #: Phases, timed once per call.
 PHASES = ("train_layer1", "build_pooled_cache", "train_layer2", "evaluate")

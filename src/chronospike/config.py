@@ -81,25 +81,27 @@ def bounded(default=dataclasses.MISSING, **bound) -> Any:
     return field(default=default, metadata=bound)
 
 
-def _record(section: str):
+def _record(section: str, ordered: tuple[str, ...] = ()):
     """Class decorator: a frozen dataclass that runs :func:`_check` on
-    itself when built, naming its fields ``section.field``."""
+    itself when built, naming its fields ``section.field``. ``ordered``
+    names two fields, the least and the greatest of a range."""
 
     def make(cls):
-        cls.__post_init__ = lambda self: _check(self, section)
+        cls.__post_init__ = lambda self: _check(self, section, ordered)
         return dataclass(frozen=True)(cls)
 
     return make
 
 
-@_record("lif")
+@_record("lif", ordered=("theta_floor", "theta_ceil"))
 class LIFParams:
     """Leaky integrate-and-fire constants, shared by both layers.
 
     Time is measured in input frame bins; the simulation advances one bin
     per step, so ``tau_m`` is a decay horizon in bins; the leak divides by
-    it. ``theta_floor`` and ``theta_ceil`` bound the adaptive threshold.
-    Each field states its own bound.
+    it. ``theta_floor`` and ``theta_ceil`` bound the adaptive threshold, and
+    the floor may not lie above the ceiling. Each field states its own
+    bound.
     """
 
     tau_m: float = bounded(10.0, positive=True)
@@ -147,8 +149,8 @@ class PlasticityParams:
     the delay kernels, and the kernels divide by those four time constants.
     ``epsilon`` is the target arrival lead: the excitatory delay rule moves
     each delay toward (post - pre - epsilon). Excitatory weights live in
-    [0, w_max], inhibitory in [w_inh_min, 0], delays in [0, d_max]. Each
-    field states its own bound.
+    [0, w_max], inhibitory in [w_inh_min, 0] (so ``w_inh_min`` is at most
+    0), delays in [0, d_max]. Each field states its own bound.
     """
 
     a_plus: float = 0.05
@@ -161,22 +163,23 @@ class PlasticityParams:
     sigma_minus: float = bounded(5.0, positive=True)
     epsilon: float = 1.0
     w_max: float = bounded(1.0, min=0)
-    w_inh_min: float = -1.0
+    w_inh_min: float = bounded(-1.0, max=0)
     d_max: float = bounded(20.0, min=0)
 
 
-@_record("regulation")
+@_record("regulation", ordered=("r_min", "r_max"))
 class RegulationParams:
     """Constants of the four regulation mechanisms.
 
     Per-presentation spike counts are tracked as exponential moving averages
     (span ``activity_window`` for homeostasis, ``long_window`` for threshold
-    adaptation). Activity outside [r_min, r_max] produces a corrective gain,
-    scaled by ``k_min``/``k_max`` and applied with step sizes ``lambda_w``
-    and ``lambda_d``. Decision balance is tracked over a sliding window of
-    ``decision_window_per_class * n_classes`` decided presentations. At most
-    ``dc_upper`` neurons per class group may emit during one presentation.
-    Each field states its own bound.
+    adaptation). Activity outside [r_min, r_max], where ``r_min`` is at
+    most ``r_max``, produces a corrective gain, scaled by ``k_min``/``k_max``
+    and applied with step sizes ``lambda_w`` and ``lambda_d``. Decision
+    balance is tracked over a sliding window of ``decision_window_per_class
+    * n_classes`` decided presentations. At most ``dc_upper`` neurons per
+    class group may emit during one presentation. Each field states its own
+    bound.
     """
 
     r_min: float = 1.0
@@ -393,10 +396,11 @@ def _plan(cls) -> tuple[tuple[str, Any, dict], ...]:
     )
 
 
-def _check(obj, section: str) -> None:
+def _check(obj, section: str, ordered: tuple[str, ...]) -> None:
     """Check each field of record ``obj`` against its type and bound, naming
     it ``section.field`` (``field`` at the top level "") in the
-    :class:`ConfigError`; lists are stored as tuples, objects as records."""
+    :class:`ConfigError`, then that the ``ordered`` fields (low, high) do not
+    cross, naming both; lists are stored as tuples, objects as records."""
     for name, check, bound in _plan(type(obj)):
         path = f"{section}.{name}" if section else name
         v = getattr(obj, name)
@@ -407,12 +411,16 @@ def _check(obj, section: str) -> None:
             for x in checked if isinstance(checked, tuple) else (checked,):
                 if not _within(x, bound):
                     raise ConfigError(f"{path} must be {_bound_text(bound)}, got {v!r}")
+    if ordered:
+        (lo, a), (hi, b) = ((f"{section}.{name}", getattr(obj, name)) for name in ordered)
+        if a > b:
+            raise ConfigError(f"{lo} must be at most {hi}, got {a!r} > {b!r}")
 
 
 def _within(x, bound: dict) -> bool:
     if "choices" in bound:
         return x in bound["choices"]
-    least = x > 0 if "positive" in bound else x >= bound["min"]
+    least = x > 0 if "positive" in bound else x >= bound.get("min", x)
     return least and x <= bound.get("max", x) and x < bound.get("below", math.inf)
 
 
@@ -422,7 +430,7 @@ def _bound_text(bound: dict) -> str:
     if "positive" in bound:
         return "positive"
     if "max" in bound:
-        return f"in [{bound['min']}, {bound['max']}]"
+        return f"in [{bound['min']}, {bound['max']}]" if "min" in bound else f"at most {bound['max']}"
     if "below" in bound:
         return f"in [{bound['min']}, {bound['below']})"
     return f"at least {bound['min']}"

@@ -20,6 +20,7 @@ size, which no class group can reach.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ from .topology import Network, build_network, conv_forward_currents, layer1_hash
 #: A presentation runs at most this many spans of d_max + 1 bins past its
 #: input and its last forward arrival, draining in-flight lateral deliveries.
 FLUSH_FACTOR = 4
+#: Conv neurons per ``argmax`` in ``_conv_sim``, which copies the block it reads.
+ARGMAX_BLOCK = 4096
 
 
 @dataclass
@@ -90,28 +93,56 @@ class EvalResult:
 def _conv_sim(net: Network, frames: np.ndarray):
     """Run the convolutional sheet; returns (spike tensor, first-spike map).
 
-    The sheet steps from bin 0 and stops after the first spike bin from
-    which every conv neuron is refractory through the last bin of the
-    currents. The bins it leaves out are exact to skip: input is ignored
-    during a refractory window, so none of them could spike, and the spike
-    tensor and first-spike map are outputs of spike bins alone. The map is
-    read from the tensor once, after the loop: each neuron's first spike
-    bin, or inf."""
-    cur = conv_forward_currents(net, frames)
-    t_tot = cur.shape[0]
-    v = np.zeros(cur.shape[1:])
-    refr = np.full(cur.shape[1:], -(1 << 30), dtype=np.int64)
-    spikes = np.zeros(cur.shape, dtype=bool)
+    Nothing feeds back into the sheet, so it runs in passes, each with the
+    operations of :func:`lif_step` in its order and so with its bits. (1)
+    No neuron is refractory before its first spike: the recursion ``v *
+    decay + I`` runs over the whole window in place in the currents, which
+    is safe as ``conv_forward_currents`` makes them afresh for each call;
+    rows ``t_ref + 1 ..``, the only bins in which a neuron that fired takes
+    input again, are copied first. (2) One threshold test, where ``v ==
+    theta`` fires, gives each neuron's first spike bin ``t0``, which is the
+    first-spike map (inf if none). (3) :func:`lif_step` steps only the
+    neurons with ``t0 + t_ref`` before the last bin, over the copied rows
+    from ``b = min t0 + t_ref + 1``: one that fired by ``b - 1`` from its
+    decayed reset, refractory through ``t0 + t_ref``, any other from its
+    potential at ``b - 1``. It stops after the first spike bin from which
+    all of them are refractory through the last bin; input is ignored in
+    that window, so no bin it skips could spike."""
+    v = conv_forward_currents(net, frames)
+    t_tot, lif = v.shape[0], net.cfg.lif
+    decay = math.exp(-1.0 / lif.tau_m)  # the leak of lif_integrate
+    tail = v[lif.t_ref + 1 :].reshape(-1, v[0].size).copy()
+    step = np.empty(v.shape[1:])
+    for t in range(1, t_tot):
+        np.multiply(v[t - 1], decay, out=step)
+        v[t] += step
     theta = net.conv_theta[:, None, None]
-    lif = net.cfg.lif
-    for t in range(t_tot):
-        v, refr, spk = lif_step(v, cur[t], t, theta, refr, lif)
-        if spk.any():
-            spikes[t] = spk
-            if refr.min() >= t_tot - 1:
-                break
-    del cur  # freed before the map is read, which copies the tensor
-    first = np.where(spikes.any(axis=0), spikes.argmax(axis=0), np.inf)
+    spikes = v >= theta
+    flat, v = spikes.reshape(t_tot, -1), v.reshape(t_tot, -1)
+    t0, n = np.empty(flat.shape[1], dtype=np.intp), np.arange(flat.shape[1])
+    for lo in range(0, n.size, ARGMAX_BLOCK):
+        flat[:, lo : lo + ARGMAX_BLOCK].argmax(axis=0, out=t0[lo : lo + ARGMAX_BLOCK])
+    fired = flat[t0, n]
+    first = np.where(fired, t0, np.inf).reshape(spikes.shape[1:])
+    flat.fill(False)
+    flat[t0[fired], n[fired]] = True
+    again = n[fired & (t0 + lif.t_ref < t_tot - 1)]
+    if again.size:
+        t0 = t0[again]
+        b = int(t0.min()) + lif.t_ref + 1
+        reset = [lif.v_reset]
+        for _ in range(lif.t_ref):
+            reset.append(reset[-1] * decay)
+        done = t0 < b
+        vs = np.where(done, np.take(reset, (b - 1 - t0).clip(0)), v[b - 1, again])
+        refr = np.where(done, t0 + lif.t_ref, -(1 << 30))
+        theta = np.broadcast_to(theta, spikes.shape[1:]).reshape(-1)[again]
+        for t in range(b, t_tot):
+            vs, refr, spk = lif_step(vs, tail[t - lif.t_ref - 1, again], t, theta, refr, lif)
+            if spk.any():
+                flat[t, again[spk]] = True
+                if refr.min() >= t_tot - 1:
+                    break
     return spikes, first
 
 

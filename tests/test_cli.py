@@ -802,7 +802,7 @@ def test_ablate_rejects_non_finite_fixed_delay(ws, tmp_path, capsys, value):
         "lif=5", "synthetic=5", 'disabled="homeo"',
         "topology.kernel=5", "topology.kernel=[5]", "topology.kernel=[5, 5, 5]", "topology.kernel=[-1, 5]",
         "topology.kernel=[0, 0]", "topology.pool=[2]", "topology.w_forward_init=[0.2]",
-        'inh_rules_shared="false"', "train_data=5", "out_dir=5",
+        'inh_rules_shared="false"', "train_data=5", "out_dir=5", "plasticity.w_inh_min=0.5",
     ],
 )
 def test_train_rejects_bad_numbers(ws, tmp_path, capsys, override):
@@ -812,6 +812,24 @@ def test_train_rejects_bad_numbers(ws, tmp_path, capsys, override):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and override.split("=")[0] in lines[0]
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [("lif.theta_floor=5", "lif.theta_ceil=1"), ("regulation.r_min=9", "regulation.r_max=2")],
+)
+def test_train_rejects_crossed_range_ends(ws, tmp_path, capsys, overrides):
+    """A range whose least end lies above its greatest is refused before
+    anything runs, with one error line naming both fields."""
+    argv = ["train", "--config", str(ws["cfg_path"]), "--out", str(tmp_path / "t")]
+    rc = main(argv + [arg for o in overrides for arg in ("--set", o)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert all(o.split("=")[0] in lines[0] for o in overrides)
     assert not (tmp_path / "t").exists()
 
 

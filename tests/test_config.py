@@ -200,7 +200,7 @@ def test_minima_bound_every_int_field_the_network_does_not():
 def test_ranges_and_choices_are_bounds_of_their_fields():
     cfg = tiny_cfg()
     bounds = {path: b for path, (b, _value) in _bounds(cfg)}
-    ranged = {path for path, b in bounds.items() if {"max", "below"} & b.keys()}
+    ranged = {path for path, b in bounds.items() if "min" in b and {"max", "below"} & b.keys()}
     assert ranged == {"topology.p_lat", "topology.inh_fraction", "synthetic.noise_rate"}
     for path in ranged:
         text = "in [0, 1)" if "below" in bounds[path] else "in [0, 1]"
@@ -214,6 +214,25 @@ def test_ranges_and_choices_are_bounds_of_their_fields():
     for path, bad in (("delay_mode", '"x"'), ("disabled", '["homeo", "x"]')):
         with pytest.raises(ConfigError, match=re.escape(f"{path} must be one of")):
             apply_overrides(cfg, [f"{path}={bad}"])
+    assert {path for path, b in bounds.items() if b.keys() == {"max"}} == {"plasticity.w_inh_min"}
+    apply_overrides(cfg, ["plasticity.w_inh_min=0"])
+    with pytest.raises(ConfigError, match=re.escape("plasticity.w_inh_min must be at most 0, got 0.5")):
+        apply_overrides(cfg, ["plasticity.w_inh_min=0.5"])
+
+
+@pytest.mark.parametrize("low, high", [("lif.theta_floor", "lif.theta_ceil"), ("regulation.r_min", "regulation.r_max")])
+def test_range_ends_may_not_cross(low, high):
+    """The least end of a range may equal its greatest but not exceed it,
+    whichever end an override moves and however the record is built."""
+    cfg = tiny_cfg()
+    apply_overrides(cfg, [f"{low}=2", f"{high}=2"])
+    apply_overrides(cfg, [f"{low}=20", f"{high}=30"])
+    with pytest.raises(ConfigError, match=re.escape(f"{low} must be at most {high}, got 3 > 2")):
+        apply_overrides(cfg, [f"{low}=3", f"{high}=2"])
+    section, lo = low.split(".")
+    record = type(getattr(cfg, section))
+    with pytest.raises(ConfigError, match=re.escape(f"{low} must be at most {high}")):
+        record(**{lo: 1e6})
 
 
 def test_records_check_themselves_however_built():

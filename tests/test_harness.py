@@ -478,21 +478,74 @@ def test_conv_sim_matches_loop_reference(data):
     (with ``tau_m`` tiny a potential is its bin's input), negative currents,
     and bins in which every neuron fires."""
     draw = data.draw
-    lif = LIFParams(tau_m=draw(st.sampled_from([0.01, 3.0])), t_ref=draw(st.integers(0, 24)))
+    lif = LIFParams(
+        tau_m=draw(st.sampled_from([0.01, 3.0])),
+        t_ref=draw(st.integers(0, 24)),
+        v_reset=draw(st.sampled_from([-0.5, 0.0, 0.25])),
+    )
     net = build_network(tiny_cfg(lif=lif), (2, 4, 4))
-    shape = (draw(st.integers(1, 20)), net.n_maps) + net.conv_hw
+    shape = (draw(st.integers(1, 40)), net.n_maps) + net.conv_hw
     cur = draw(hnp.arrays(float, shape, elements=st.sampled_from((0.0, 0.5, 1.0, 2.0, -1.0))))
     for t in draw(st.lists(st.integers(0, shape[0] - 1), max_size=3)):
         cur[t] = 2.0
     net.conv_theta = draw(hnp.arrays(float, net.n_maps, elements=st.sampled_from((0.5, 1.0, 2.0))))
     frames = np.zeros((shape[0], 2, 4, 4))
     with (
-        mock.patch.object(harness, "conv_forward_currents", lambda _net, _frames: cur),
-        mock.patch.dict(globals(), conv_forward_currents=lambda _net, _frames: cur),
+        mock.patch.object(harness, "conv_forward_currents", lambda _net, _frames: cur.copy()),
+        mock.patch.dict(globals(), conv_forward_currents=lambda _net, _frames: cur.copy()),
     ):
         got, want = _conv_sim(net, frames), loop_conv_sim(net, frames)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def bars_32x32():
+    """The network and first sample of the ``bars-32x32`` row of
+    ``scripts/stage_times.py``: the preset constants on 32x32 moving bars
+    with ``step_bins=1`` and 4x4 pooling."""
+    spec = moving_bars_spec(grid=(32, 32), pattern_length=50, noise_rate=0.01, seed=0, step_bins=1)
+    base = moving_bars_acceptance_config(0)
+    cfg = moving_bars_acceptance_config(0, synthetic=spec, topology=dataclasses.replace(base.topology, pool=(4, 4)))
+    frames = gen_synthetic(spec, 1)[0].frames
+    return build_network(cfg, frames.shape[1:]), frames
+
+
+def test_conv_sim_matches_loop_reference_where_most_neurons_fire_once():
+    """In the regime of the preset and the benchmark (``t_ref=60``), where
+    most neurons that fire fire once, the conv sheet equals the loop over
+    every bin byte for byte: on 30 preset training samples and on one
+    32x32 moving-bars sample."""
+    cfg = moving_bars_acceptance_config(0)
+    assert cfg.lif.t_ref == 60
+    samples = gen_synthetic(cfg.synthetic, cfg.synthetic_train_per_class)[::5]
+    assert len(samples) == 30
+    preset = build_network(cfg, samples[0].frames.shape[1:])
+    cases = [(preset, s.frames) for s in samples] + [bars_32x32()]
+    for net, frames in cases:
+        got, want = _conv_sim(net, frames), loop_conv_sim(net, frames)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        per_neuron = got[0].sum(axis=0)
+        assert (per_neuron == 1).sum() > (per_neuron > 1).sum()
+
+
+def test_conv_sim_memory_is_its_outputs_and_the_copied_rows():
+    """On the 32x32 sample, a call holds at most the currents, the spike
+    tensor and the rows it copies for the neurons that can fire again,
+    plus 1 MiB: the potentials are written into the currents."""
+    net, frames = bars_32x32()
+    t_tot = frames.shape[0] + int(round(net.cfg.plasticity.d_max)) + 1
+    neurons = net.n_maps * net.conv_hw[0] * net.conv_hw[1]
+    tail = max(t_tot - net.cfg.lif.t_ref - 1, 0)
+    bound = t_tot * neurons * 8 + t_tot * neurons + tail * neurons * 8 + 2**20
+    tracemalloc.start()
+    try:
+        spikes, _first = _conv_sim(net, frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spikes.shape == (t_tot, net.n_maps) + net.conv_hw and tail > 0
+    assert peak <= bound
 
 
 def old_schedule(buf, targets, weights, delays, t_emit) -> None:
@@ -1239,11 +1292,7 @@ def test_conv_pair_deltas_memory_stays_one_map_at_a_time():
     """A sensor-sized sheet (32x32 moving bars, the preset constants, 4x4
     pooling): one call stays under a fixed ceiling that pairing all maps at
     once would pass several times over."""
-    spec = moving_bars_spec(grid=(32, 32), pattern_length=50, noise_rate=0.01, seed=0, step_bins=1)
-    base = moving_bars_acceptance_config(0)
-    cfg = moving_bars_acceptance_config(0, synthetic=spec, topology=dataclasses.replace(base.topology, pool=(4, 4)))
-    frames = gen_synthetic(spec, 1)[0].frames
-    net = build_network(cfg, frames.shape[1:])
+    net, frames = bars_32x32()
     spikes, _first = _conv_sim(net, frames)
     assert spikes.sum() > 1000
     tracemalloc.start()
