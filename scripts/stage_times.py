@@ -47,6 +47,10 @@ Python call per visited bin to those stage times, and noting
 ``_window_last`` one more per call of it: once or twice per visited
 decision bin.
 
+The ``host`` block also holds ``src_lines``: the line count of each
+``src/chronospike/*.py`` module and their total, so that a change's effect
+on the size of the source is read from the file.
+
 After the rows, the script runs the Tier-1 suite once in a subprocess, with
 the ROADMAP's verify command plus ``--durations=10`` (:data:`TIER1`), and
 writes a ``tier1`` block: its wall time, the passed, skipped, failed and
@@ -301,6 +305,12 @@ def run_tier1() -> dict:
     return {"command": " ".join(TIER1), "wall_s": wall, "returncode": proc.returncode, **parse_tier1(proc.stdout)}
 
 
+def src_lines() -> dict:
+    """Lines per ``src/chronospike/*.py`` module, by file name, and ``total``."""
+    lines = {f.name: len(f.read_text().splitlines()) for f in sorted((ROOT / "src" / "chronospike").glob("*.py"))}
+    return {**lines, "total": sum(lines.values())}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", required=True, help="the file is BENCH_<label>.json at the checkout root")
@@ -313,6 +323,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "loadavg_before": list(os.getloadavg()),
+            "src_lines": src_lines(),
         },
         "rows": {},
     }

@@ -209,7 +209,7 @@ class HarnessParams:
     """
 
     kappa: float = 0.05
-    reward_clip: float = 1.0
+    reward_clip: float = bounded(1.0, min=0)
     max_epochs_l1: int = bounded(20, min=0)
     max_epochs_l2: int = bounded(30, min=0)
     freeze_scale: float = 1e-3

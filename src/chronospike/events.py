@@ -32,6 +32,7 @@ POLARITY_EVENT_SIZE = 8
 
 DATASET_MAGIC = b"CSPK"
 DATASET_VERSION = 1
+_DATASET_PREAMBLE = struct.Struct("<4sBI")  # magic, version byte, JSON header length
 
 TRAIN_SUBJECT_MAX = 23
 SUBJECT_MAX = 29
@@ -96,8 +97,11 @@ class FrameSequence:
 def decode_events(data: bytes, sensor_size: tuple[int, int] = (128, 128)) -> EventStream:
     """Decode an AEDAT 3.1 byte string into an EventStream.
 
-    Invalidated events (validity bit 0) are dropped; non-polarity packets
-    are skipped. Events are returned sorted by timestamp.
+    Invalidated events (validity bit 0) are dropped, non-polarity packets
+    skipped and a negative ``eventTSOverflow`` refused as an inconsistent
+    packet header. Only valid events are checked against the sensor, after
+    the packet walk: a bad coordinate before a truncated packet reports the
+    truncation. Events come sorted by timestamp, ties in file order.
     """
     if not data.startswith(AEDAT_MAGIC):
         raise MalformedHeader("missing AEDAT 3.1 format marker")
@@ -109,16 +113,13 @@ def decode_events(data: bytes, sensor_size: tuple[int, int] = (128, 128)) -> Eve
             raise MalformedHeader("unterminated header line")
         offset = end + 1
 
-    xs, ys, ps, ts = [], [], [], []
-    width, height = sensor_size
+    words, stamps = [np.empty(0, np.uint32)], [np.empty(0, np.int64)]
     while offset < n:
         if n - offset < _PACKET_HEADER.size:
             raise TruncatedEvent(offset, "incomplete packet header")
-        (etype, _esource, esize, _tsoffset, tsoverflow, ecapacity, enumber, _evalid) = _PACKET_HEADER.unpack_from(
-            data, offset
-        )
+        etype, _, esize, _, tsoverflow, ecapacity, enumber, _ = _PACKET_HEADER.unpack_from(data, offset)
         offset += _PACKET_HEADER.size
-        if esize <= 0 or ecapacity < 0 or enumber < 0 or enumber > ecapacity:
+        if esize <= 0 or tsoverflow < 0 or ecapacity < 0 or enumber < 0 or enumber > ecapacity:
             raise TruncatedEvent(offset - _PACKET_HEADER.size, "inconsistent packet header")
         body = ecapacity * esize
         if n - offset < body:
@@ -127,37 +128,21 @@ def decode_events(data: bytes, sensor_size: tuple[int, int] = (128, 128)) -> Eve
             if esize != POLARITY_EVENT_SIZE:
                 raise TruncatedEvent(offset, f"polarity events must be {POLARITY_EVENT_SIZE} bytes, got {esize}")
             raw = np.frombuffer(data, dtype="<u4", count=2 * enumber, offset=offset).reshape(-1, 2)
-            word = raw[:, 0]
-            stamp = raw[:, 1].astype(np.int64) + (np.int64(tsoverflow) << 31)
-            valid = (word & 1).astype(bool)
-            ex = ((word >> 17) & 0x7FFF).astype(np.int64)
-            ey = ((word >> 2) & 0x7FFF).astype(np.int64)
-            ep = ((word >> 1) & 1).astype(np.int64)
-            if valid.any():
-                bad = (ex[valid] >= width) | (ey[valid] >= height)
-                if bad.any():
-                    i = int(np.nonzero(bad)[0][0])
-                    raise MalformedEvent(
-                        f"event coordinate ({int(ex[valid][i])}, {int(ey[valid][i])}) "
-                        f"outside sensor {width}x{height}"
-                    )
-                xs.append(ex[valid])
-                ys.append(ey[valid])
-                ps.append(ep[valid])
-                ts.append(stamp[valid])
+            valid = (raw[:, 0] & 1).astype(bool)
+            words.append(raw[:, 0][valid])
+            stamps.append(raw[:, 1][valid] + (np.int64(tsoverflow) << 31))
         offset += body
 
-    if xs:
-        x = np.concatenate(xs)
-        y = np.concatenate(ys)
-        p = np.concatenate(ps)
-        t = np.concatenate(ts)
-        order = np.argsort(t, kind="stable")
-        stream = EventStream(x[order], y[order], p[order], t[order], sensor_size)
-    else:
-        z = np.empty(0, np.int64)
-        stream = EventStream(z, z.copy(), z.copy(), z.copy(), sensor_size)
-    return stream
+    word = np.concatenate(words)
+    x = ((word >> 17) & 0x7FFF).astype(np.int64)
+    y = ((word >> 2) & 0x7FFF).astype(np.int64)
+    width, height = sensor_size
+    bad = np.flatnonzero((x >= width) | (y >= height))
+    if bad.size:
+        raise MalformedEvent(f"event coordinate ({x[bad[0]]}, {y[bad[0]]}) outside sensor {width}x{height}")
+    t = np.concatenate(stamps)
+    order = np.argsort(t, kind="stable")
+    return EventStream(x[order], y[order], ((word[order] >> 1) & 1).astype(np.int64), t[order], sensor_size)
 
 
 def bin_frames(
@@ -171,7 +156,8 @@ def bin_frames(
 
     Bin t covers [t/fps, (t+1)/fps) seconds relative to the stream's time
     origin; a cell is 1 if at least one event of that polarity landed in the
-    bin (presence, not count). Events past ``max_frames`` bins are dropped.
+    bin (presence, not count). Events before bin 0 or past ``max_frames``
+    bins are dropped.
     """
     if not (math.isfinite(fps) and fps > 0):
         raise IngestError(f"fps must be finite and positive, got {fps!r}")
@@ -181,9 +167,9 @@ def bin_frames(
     frames = np.zeros((max_frames, 2, height, width), dtype=np.uint8)
     if len(stream):
         # exactly t * fps // 10**6 at an integer fps while t * fps < 2**53 and the bin is below
-        # 2**33, as a kept bin is; later ones are clipped to max_frames (so dropped) before the cast
-        bins = np.minimum(np.floor(stream.t * fps / 1e6), max_frames).astype(np.int64)
-        keep = bins < max_frames
+        # 2**33, as a kept bin is; others are clipped to -1 or max_frames (so dropped) before the cast
+        bins = np.clip(np.floor(stream.t * fps / 1e6), -1, max_frames).astype(np.int64)
+        keep = (bins >= 0) & (bins < max_frames)
         frames[bins[keep], stream.polarity[keep], stream.y[keep], stream.x[keep]] = 1
     return FrameSequence(frames, bin_width_ms=1000.0 / fps, label=label, subject_id=subject_id)
 
@@ -222,12 +208,15 @@ def save_dataset(path: str | Path, samples: list[FrameSequence], meta: dict | No
     if len(shapes) != 1:
         raise DatasetFormatError(f"samples disagree on (P, H, W): {sorted(shapes)}")
     p, h, w = shapes.pop()
+    widths = {s.bin_width_ms for s in samples}
+    if len(widths) != 1:
+        raise DatasetFormatError(f"samples disagree on bin_width_ms: {sorted(widths)}")
     header = {
         "version": DATASET_VERSION,
         "p": int(p),
         "h": int(h),
         "w": int(w),
-        "bin_width_ms": samples[0].bin_width_ms,
+        "bin_width_ms": widths.pop(),
         "samples": [
             {"t": int(s.frames.shape[0]), "label": int(s.label), "subject": int(s.subject_id)}
             for s in samples
@@ -237,9 +226,7 @@ def save_dataset(path: str | Path, samples: list[FrameSequence], meta: dict | No
         header["meta"] = meta
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as f:
-        f.write(DATASET_MAGIC)
-        f.write(bytes([DATASET_VERSION]))
-        f.write(struct.pack("<I", len(blob)))
+        f.write(_DATASET_PREAMBLE.pack(DATASET_MAGIC, DATASET_VERSION, len(blob)))
         f.write(blob)
         for s in samples:
             f.write(np.packbits(s.frames.astype(np.uint8).ravel()).tobytes())
@@ -249,16 +236,16 @@ def load_dataset(path: str | Path) -> tuple[list[FrameSequence], dict]:
     data = Path(path).read_bytes()
     if data[:4] != DATASET_MAGIC:
         raise DatasetFormatError(f"{path}: bad magic, not a dataset file")
-    if len(data) < 9:
+    if len(data) < _DATASET_PREAMBLE.size:
         raise DatasetFormatError(f"{path}: truncated preamble")
-    version = data[4]
+    _magic, version, hlen = _DATASET_PREAMBLE.unpack_from(data)
     if version != DATASET_VERSION:
         raise DatasetFormatError(f"{path}: unsupported dataset version {version}")
-    (hlen,) = struct.unpack_from("<I", data, 5)
-    if len(data) < 9 + hlen:
+    offset = _DATASET_PREAMBLE.size + hlen
+    if len(data) < offset:
         raise DatasetFormatError(f"{path}: truncated header")
     try:
-        header = json.loads(data[9 : 9 + hlen].decode())
+        header = json.loads(data[_DATASET_PREAMBLE.size : offset].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DatasetFormatError(f"{path}: header is not UTF-8 JSON: {e}")
     if not isinstance(header, dict):
@@ -271,7 +258,6 @@ def load_dataset(path: str | Path) -> tuple[list[FrameSequence], dict]:
         )
     if not isinstance(header.get("samples"), list):
         raise DatasetFormatError(f"{path}: header field samples must be a list")
-    offset = 9 + hlen
     samples = []
     for i, rec in enumerate(header["samples"]):
         t = _header_int(path, rec, "t", f"samples[{i}].t", least=1)

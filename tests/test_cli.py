@@ -803,6 +803,7 @@ def test_ablate_rejects_non_finite_fixed_delay(ws, tmp_path, capsys, value):
         "topology.kernel=5", "topology.kernel=[5]", "topology.kernel=[5, 5, 5]", "topology.kernel=[-1, 5]",
         "topology.kernel=[0, 0]", "topology.pool=[2]", "topology.w_forward_init=[0.2]",
         'inh_rules_shared="false"', "train_data=5", "out_dir=5", "plasticity.w_inh_min=0.5",
+        "harness.reward_clip=-1",
     ],
 )
 def test_train_rejects_bad_numbers(ws, tmp_path, capsys, override):

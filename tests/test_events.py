@@ -136,30 +136,60 @@ def test_out_of_bounds_coordinate_raises():
         decode_events(encode_aedat([encode_polarity_packet([(5, 128, 1, 10, True)])]))
 
 
+def test_coordinates_are_checked_after_the_packet_walk():
+    # the first bad valid event in file order is named, though a later packet holds an earlier timestamp
+    first = encode_polarity_packet([(5, 5, 1, 10, True), (200, 6, 0, 20, True)])
+    blob = encode_aedat([first, encode_polarity_packet([(7, 130, 1, 5, True)])])
+    with pytest.raises(MalformedEvent, match=r"\(200, 6\) outside sensor 128x128"):
+        decode_events(blob)
+    # a truncated packet after the bad coordinate is what gets reported
+    with pytest.raises(TruncatedEvent, match="packet body needs 8 bytes, 7 left"):
+        decode_events(blob[:-1])
+
+
 def test_empty_file_after_header_is_empty_stream():
     stream = decode_events(encode_aedat([]))
     assert len(stream) == 0
 
 
+def test_negative_timestamp_overflow_is_an_inconsistent_header():
+    blob = encode_aedat([encode_polarity_packet([(1, 2, 1, 10, True)], tsoverflow=-1)])
+    with pytest.raises(TruncatedEvent, match="inconsistent packet header") as exc_info:
+        decode_events(blob)
+    assert exc_info.value.offset == len(b"#!AER-DAT3.1\r\n#creation time: test\r\n")
+
+
+_event = st.tuples(
+    st.integers(min_value=0, max_value=127),
+    st.integers(min_value=0, max_value=127),
+    st.integers(min_value=0, max_value=1),
+    st.one_of(st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=2**32 - 1)),
+    st.booleans(),
+)
+
+
 @given(
-    events=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=127),
-            st.integers(min_value=0, max_value=127),
-            st.integers(min_value=0, max_value=1),
-            st.integers(min_value=0, max_value=10_000_000),
-        ),
-        max_size=40,
-    )
+    packets=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=3), st.lists(_event, max_size=20)), min_size=1, max_size=4
+    ),
+    other_at=st.integers(min_value=0, max_value=3),
 )
 @settings(max_examples=80)
-def test_round_trip_property(events):
-    tagged = [(x, y, p, t, True) for x, y, p, t in events]
-    stream = decode_events(encode_aedat([encode_polarity_packet(tagged)]))
-    expect = sorted(events, key=lambda e: e[3])
-    assert stream.t.tolist() == [e[3] for e in expect]
-    got = sorted(zip(stream.x, stream.y, stream.polarity, stream.t))
-    assert got == sorted((x, y, p, t) for x, y, p, t in events)
+def test_round_trip_property(packets, other_at):
+    """1 to 4 polarity packets, each with its own overflow and validity flags,
+    and a non-polarity packet after the first (between two of them when there
+    are two or more): the valid events come back at ``t + (overflow << 31)``,
+    in stable order by that time."""
+    blobs = [encode_polarity_packet(events, tsoverflow=ovf) for ovf, events in packets]
+    # a type-2 packet of 12-byte events, whose payload would decode to coordinates off the sensor
+    other = struct.pack("<hhiiiiii", 2, 0, 12, 4, 0, 2, 2, 2) + b"\xff" * 24
+    blobs.insert(1 + other_at % max(len(blobs) - 1, 1), other)
+    stream = decode_events(encode_aedat(blobs))
+    valid = [(x, y, p, t + (ovf << 31)) for ovf, events in packets for x, y, p, t, ok in events if ok]
+    expect = sorted(valid, key=lambda e: e[3])
+    columns = (stream.x, stream.y, stream.polarity, stream.t)
+    assert all(c.dtype == np.int64 for c in columns) and len(stream) == len(expect)
+    assert list(zip(*(c.tolist() for c in columns))) == expect
 
 
 # -- binning --------------------------------------------------------------
@@ -208,6 +238,15 @@ def test_bin_frames_at_a_huge_fps_keeps_only_bin_0():
     seq = bin_frames(stream, fps=1e300, max_frames=4)
     assert seq.frames[0, 1, 1, 1] == 1
     assert seq.frames.sum() == 1
+
+
+def test_bin_frames_drops_events_before_the_origin():
+    # at 1000 fps, t = -1 us lies in bin -1 and t = -2**31 us in bin -2147484:
+    # both are dropped, neither wraps to a bin counted from the end nor indexes past it
+    for t in (-1, -(2**31)):
+        seq = bin_frames(_stream([1, 2], [1, 2], [1, 0], [t, 4_999]), fps=1000.0, max_frames=5)
+        assert seq.frames[4, 0, 2, 2] == 1
+        assert seq.frames.sum() == 1, t
 
 
 def implied_events(frames: np.ndarray, fps: float) -> EventStream:
@@ -327,6 +366,13 @@ def test_dataset_rejects_empty_and_mixed_shapes(tmp_path):
     ]
     with pytest.raises(DatasetFormatError):
         save_dataset(tmp_path / "y.cspk", bad)
+
+
+def test_dataset_rejects_mixed_bin_widths(tmp_path):
+    mixed = [FrameSequence(np.zeros((2, 2, 4, 4), np.uint8), width) for width in (30.3, 1.0)]
+    with pytest.raises(DatasetFormatError, match=r"bin_width_ms: \[1\.0, 30\.3\]"):
+        save_dataset(tmp_path / "z.cspk", mixed)
+    assert not (tmp_path / "z.cspk").exists()
 
 
 def test_dataset_truncation_detected(tmp_path):
